@@ -9,7 +9,6 @@ namespace pmx {
 TdmScheduler::TdmScheduler(const Options& options)
     : n_(options.num_ports),
       k_(options.num_slots),
-      rotate_priority_(options.rotate_priority),
       multi_slot_(options.multi_slot_connections),
       skip_unrequested_(options.skip_unrequested_slots),
       requests_(n_),
@@ -226,14 +225,14 @@ TdmScheduler::PassResult TdmScheduler::run_pass() {
 
   const BitMatrix r_eff = effective_requests();
   const BitMatrix l = preschedule(r_eff, b_star_, slots_[s]);
-  const std::size_t origin = rotate_priority_ ? priority_origin_ : 0;
 
   const BitMatrix b_star_before = b_star_;
 
   bool touched = false;
   if (l.any()) {
     const SlPassResult pass = sl_array_pass_fast(
-        l, slots_[s], slot_ai_[s], slot_ao_[s], origin, origin);
+        l, slots_[s], slot_ai_[s], slot_ao_[s], priority_origin_,
+        priority_origin_);
     apply_toggles(s, pass.toggles);
     result.establishes = pass.establishes;
     result.releases = pass.releases;
@@ -253,7 +252,8 @@ TdmScheduler::PassResult TdmScheduler::run_pass() {
     }
     if (l2.any()) {
       const SlPassResult dup = sl_array_pass_fast(
-          l2, slots_[s], slot_ai_[s], slot_ao_[s], origin, origin);
+          l2, slots_[s], slot_ai_[s], slot_ao_[s], priority_origin_,
+          priority_origin_);
       apply_toggles(s, dup.toggles);
       result.establishes += dup.establishes;
       touched = touched || dup.toggles.any();
@@ -284,9 +284,7 @@ TdmScheduler::PassResult TdmScheduler::run_pass() {
     }
   }
 
-  if (rotate_priority_) {
-    priority_origin_ = (priority_origin_ + 1) % n_;
-  }
+  priority_origin_ = (priority_origin_ + 1) % n_;
 
   ++stats_.passes;
   stats_.establishes += result.establishes;

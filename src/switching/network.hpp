@@ -136,6 +136,15 @@ class Network {
   [[nodiscard]] const std::vector<std::uint64_t>& depth_samples() const {
     return depth_samples_;
   }
+  /// Bytes still queued at the source NICs awaiting transmission (drain
+  /// checks): the sum of every node's source_queue_bytes().
+  [[nodiscard]] std::uint64_t queued_bytes() const {
+    std::uint64_t total = 0;
+    for (NodeId u = 0; u < params_.num_nodes; ++u) {
+      total += source_queue_bytes(u);
+    }
+    return total;
+  }
 
   [[nodiscard]] const SystemParams& params() const { return params_; }
   [[nodiscard]] CounterSet& counters() { return counters_; }

@@ -53,14 +53,6 @@ void WormholeNetwork::on_link_change(NodeId node, bool up) {
   }
 }
 
-std::uint64_t WormholeNetwork::queued_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& src : sources_) {
-    total += src.voqs.total_bytes();
-  }
-  return total;
-}
-
 void WormholeNetwork::do_submit(const Message& msg) {
   sources_[msg.src].voqs.push(msg);
   // One NIC cycle before the freshly queued message can contend.

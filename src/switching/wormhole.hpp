@@ -31,8 +31,6 @@ class WormholeNetwork final : public Network {
 
   [[nodiscard]] std::string name() const override { return "wormhole"; }
 
-  [[nodiscard]] std::uint64_t queued_bytes() const;
-
  protected:
   void do_submit(const Message& msg) override;
   void audit_control(std::vector<std::string>& out) override;

@@ -1,4 +1,3 @@
-#!/usr/bin/env python3
 """pmx-lint: line-local determinism & hygiene rules for the pmx codebase.
 
 The reproduction's correctness claims rest on bit-exact determinism: gate
@@ -47,38 +46,27 @@ Escape hatch: a finding on line N is suppressed by appending
 ``allow(rule-a, rule-b)``. For the file-level include-guard rule the allow
 comment must sit on line 1.
 
-Baseline mode: ``--baseline FILE`` loads a committed JSON baseline and only
-*new* findings (not fingerprint-matched by the baseline) fail the run;
-``--write-baseline FILE`` records the current findings. Fingerprints hash the
-rule plus the whitespace-normalized source line, so unrelated edits moving a
-known finding up or down a file do not break CI.
+This module holds the rules only; it has no command line. pmx_analyze.py
+is the one CLI: it runs these rules next to its whole-program passes (layer
+contract, include cycles, determinism taint, hot-path allocation) against
+one fingerprint baseline (tools/pmx_analyze_baseline.json), e.g.
 
-The whole-program passes (layer contract, include cycles, determinism taint,
-hot-path allocation) live in pmx_analyze.py, which also runs these rules:
-``pmx_analyze.py`` is the single entry point covering everything. The lexer,
-Finding/fingerprint, allow() parsing, and baseline machinery are shared via
-pmx_lexer.py, so there is exactly one suppression mechanism.
+    python3 tools/pmx_analyze.py --root . --rules raw-new,include-guard
 
-Exit status: 0 when no (new) findings, 1 when findings remain, 2 on usage
-errors.
+The lexer, Finding/fingerprint, allow() parsing, and baseline machinery are
+shared via pmx_lexer.py, so there is exactly one suppression mechanism.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
-import sys
 from pathlib import Path
 
-from pmx_lexer import (  # noqa: F401  (re-exported for importers)
+from pmx_lexer import (
     DEFAULT_ROOTS,
     Finding,
     allowed_rules,
-    discover,
-    load_baseline,
     strip_comments_and_strings,
-    subtract_baseline,
-    write_baseline,
 )
 
 # Files allowed to touch raw randomness primitives: the Rng wrapper itself.
@@ -285,73 +273,3 @@ def lint_file(path: Path, rel: str, rules: set[str]) -> list[Finding]:
 
     return findings
 
-
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="pmx-lint", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("paths", nargs="*",
-                        help="files or directories to lint "
-                             f"(default: {', '.join(DEFAULT_ROOTS)})")
-    parser.add_argument("--root", default=".",
-                        help="repository root (default: cwd)")
-    parser.add_argument("--rules",
-                        help="comma-separated rule subset to run")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="JSON baseline; only new findings fail")
-    parser.add_argument("--write-baseline", metavar="FILE",
-                        help="write current findings as the new baseline")
-    parser.add_argument("--list-rules", action="store_true")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-finding output")
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule, doc in RULES.items():
-            print(f"{rule:15s} {doc}")
-        return 0
-
-    active = set(RULES)
-    if args.rules:
-        active = {r.strip() for r in args.rules.split(",")}
-        unknown = active - set(RULES)
-        if unknown:
-            print(f"pmx-lint: unknown rule(s): {', '.join(sorted(unknown))}",
-                  file=sys.stderr)
-            return 2
-
-    root = Path(args.root).resolve()
-    files = discover(root, args.paths)
-    if not files:
-        print("pmx-lint: no source files found", file=sys.stderr)
-        return 2
-
-    findings: list[Finding] = []
-    for f in files:
-        try:
-            rel = str(f.resolve().relative_to(root))
-        except ValueError:
-            rel = str(f)
-        findings.extend(lint_file(f, rel, active))
-
-    if args.write_baseline:
-        write_baseline(Path(args.write_baseline), findings)
-        print(f"pmx-lint: wrote baseline with {len(findings)} finding(s) "
-              f"to {args.write_baseline}")
-        return 0
-
-    if args.baseline:
-        findings = subtract_baseline(findings,
-                                     load_baseline(Path(args.baseline)))
-
-    if not args.quiet:
-        for fi in findings:
-            print(fi)
-    label = "new finding(s)" if args.baseline else "finding(s)"
-    print(f"pmx-lint: {len(findings)} {label} in {len(files)} file(s)",
-          file=sys.stderr)
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

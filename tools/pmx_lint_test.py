@@ -5,12 +5,12 @@ Each rule has one good and one bad fixture under tests/lint_fixtures/; the
 bad fixture must produce findings for exactly that rule, the good fixture
 none. The allow_suppress fixture checks that `// pmx-lint: allow(<rule>)`
 suppresses exactly one line and only for the named rule. Run directly or via
-ctest (registered as pmx_lint_fixtures).
+ctest (registered as pmx_lint_fixtures). Baseline handling and the full-tree
+sweep go through the one CLI, pmx_analyze.py, and are tested in
+pmx_analyze_test.py.
 """
 
-import json
 import sys
-import tempfile
 import unittest
 from pathlib import Path
 
@@ -121,38 +121,6 @@ class RawHeapExemption(unittest.TestCase):
         findings = pmx_lint.lint_file(
             engine, "src/predictor/engine_copy.cpp", {"raw-heap"})
         self.assertGreater(len(findings), 0)
-
-
-class BaselineMode(unittest.TestCase):
-    def test_baseline_masks_known_findings_only(self):
-        bad = str(FIXTURES / "raw_new_bad.cpp")
-        with tempfile.TemporaryDirectory() as tmp:
-            baseline = Path(tmp) / "baseline.json"
-            rc = pmx_lint.main([bad, "--root", str(REPO_ROOT), "--quiet",
-                                "--write-baseline", str(baseline)])
-            self.assertEqual(rc, 0)
-            payload = json.loads(baseline.read_text())
-            self.assertEqual(len(payload["findings"]), 4)
-            # All findings known -> exit 0.
-            rc = pmx_lint.main([bad, "--root", str(REPO_ROOT), "--quiet",
-                                "--baseline", str(baseline)])
-            self.assertEqual(rc, 0)
-            # A new violation not in the baseline -> exit 1.
-            extra = Path(tmp) / "extra.cpp"
-            extra.write_text("int* fresh() { return new int; }\n")
-            rc = pmx_lint.main([bad, str(extra), "--root", str(REPO_ROOT),
-                                "--quiet", "--baseline", str(baseline)])
-            self.assertEqual(rc, 1)
-
-
-class RepoIsClean(unittest.TestCase):
-    def test_default_roots_have_no_new_findings(self):
-        # The committed baseline is empty: the tree owes no acknowledged
-        # debt, and any finding at all fails this test.
-        baseline = REPO_ROOT / "tools" / "pmx_lint_baseline.json"
-        rc = pmx_lint.main(["--root", str(REPO_ROOT), "--quiet",
-                            "--baseline", str(baseline)])
-        self.assertEqual(rc, 0)
 
 
 if __name__ == "__main__":
