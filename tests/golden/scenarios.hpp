@@ -12,12 +12,17 @@ namespace pmx::golden {
 /// fingerprint is frozen as a golden file. The policy is named by string so
 /// the same table drives both the pre-refactor capture (mapped onto the old
 /// predictor enum) and the post-refactor suite (mapped onto PolicySpec).
+///
+/// The integer fields lead: gtest names each PolicyConformance case after a
+/// raw byte dump of its Scenario, and a leading std::string would put a heap
+/// pointer (which moves with ASLR and the build path) at the front of every
+/// test name.
 struct Scenario {
-  std::string id;  ///< golden file stem: <policy-label>_<workload>
-  std::string policy;  ///< none | never-evict | timeout | counter | phase
   std::int64_t timeout_ns = 0;
   std::uint64_t threshold = 0;
   std::int64_t phase_epoch_ns = 0;
+  std::string id;  ///< golden file stem: <policy-label>_<workload>
+  std::string policy;  ///< none | never-evict | timeout | counter | phase
   std::string workload;  ///< scatter | mesh | two-phase | chaos-mesh
 };
 
@@ -46,8 +51,8 @@ inline std::vector<Scenario> conformance_scenarios() {
   };
   for (const auto& p : policies) {
     for (const std::string workload : {"scatter", "mesh", "two-phase"}) {
-      out.push_back(Scenario{p.label + "_" + workload, p.policy, p.timeout_ns,
-                             p.threshold, p.phase_epoch_ns, workload});
+      out.push_back(Scenario{p.timeout_ns, p.threshold, p.phase_epoch_ns,
+                             p.label + "_" + workload, p.policy, workload});
     }
   }
   for (const auto& p : policies) {
@@ -57,8 +62,8 @@ inline std::vector<Scenario> conformance_scenarios() {
     if (p.policy == "counter" && p.threshold != 64) {
       continue;
     }
-    out.push_back(Scenario{p.label + "_chaos-mesh", p.policy, p.timeout_ns,
-                           p.threshold, p.phase_epoch_ns, "chaos-mesh"});
+    out.push_back(Scenario{p.timeout_ns, p.threshold, p.phase_epoch_ns,
+                           p.label + "_chaos-mesh", p.policy, "chaos-mesh"});
   }
   return out;
 }
