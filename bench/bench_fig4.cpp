@@ -3,13 +3,13 @@
 // under Wormhole, Circuit, Dynamic TDM (K=4, timeout predictor) and Preload
 // TDM (K=4).
 //
-// Usage: bench_fig4 [--nodes N] [--csv] [--timeout NS] [--multislot|
-//        --no-multislot] [--policy NAME[:PARAM]] [--counter-predictor]
-//        [--no-predictor] [--jobs J] [--seed S]
+// Usage: bench_fig4 [--nodes N] [--csv] [--timeout NS] [--multislot BOOL]
+//        [--policy NAME[:PARAM]] [--jobs J] [--seed S]
 // Unknown options abort with exit status 2.
 // --policy selects any PolicySpec policy (timeout, counter, lru, lfu-decay,
-// deadline, phase, hybrid, none, never-evict); the legacy
-// --counter-predictor/--no-predictor flags are shorthands.
+// deadline, phase, hybrid, none, never-evict); --timeout then overrides the
+// idle horizon of timeout/phase. Multi-slot connections are on by default
+// (--multislot false turns them off).
 //
 // Every (pattern, size, paradigm) point is an independent simulation, so
 // the sweep fans out across --jobs threads; results are assembled in index
@@ -73,16 +73,8 @@ int main(int argc, char** argv) {
   const std::size_t nodes = cfg.get_uint("nodes", 128);
   const bool csv = cfg.get_bool("csv", false);
   g_seed = cfg.get_uint("seed", g_seed);
-  g_multi_slot = cfg.get_bool("multislot", g_multi_slot) &&
-                 !cfg.get_bool("no-multislot", false);
-  std::string policy = cfg.get_string("policy", "timeout");
-  if (cfg.get_bool("counter-predictor", false)) {
-    policy = "counter";
-  }
-  if (cfg.get_bool("no-predictor", false)) {
-    policy = "none";
-  }
-  g_policy = pmx::PolicySpec::parse(policy);
+  g_multi_slot = cfg.get_bool("multislot", g_multi_slot);
+  g_policy = pmx::PolicySpec::parse(cfg.get_string("policy", "timeout"));
   g_policy.timeout_ns = cfg.get_int("timeout", g_policy.timeout_ns);
   g_policy.validate();
   const pmx::SweepOptions sweep{cfg.get_uint("jobs", 1)};

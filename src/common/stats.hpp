@@ -59,7 +59,9 @@ class Histogram {
 };
 
 /// Named counter set attached to simulation components; dumped at the end of
-/// a run. Lookup cost is irrelevant (counters are bumped via cached refs).
+/// a run. Every counter() call is a std::map<std::string> lookup, so a hot
+/// path (the dynamic-TDM slot tick) tallies in locals and bumps each name
+/// at most once per pass. A name exists once it has been bumped, even by 0.
 class CounterSet {
  public:
   std::uint64_t& counter(const std::string& name) { return counters_[name]; }

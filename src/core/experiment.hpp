@@ -29,9 +29,9 @@ struct RunConfig {
   SwitchKind kind = SwitchKind::kDynamicTdm;
   SendMode send_mode = SendMode::kEager;
 
-  // Dynamic-TDM knobs. The eviction policy (rank function + parameters) is
-  // a PolicySpec so any bench or example can sweep it straight from its
-  // Config/CLI (PolicySpec::from_config / PolicySpec::parse).
+  // Dynamic-TDM knobs. The eviction policy is a PolicySpec (name plus its
+  // primary knob) so any bench or example can sweep it from a CLI token
+  // (PolicySpec::parse, e.g. "lru:12").
   PolicySpec policy{};  ///< default: timeout, 200 ns (2 slots)
   bool multi_slot_connections = false;
   std::size_t sl_units = 1;  ///< parallel scheduling-logic copies (ext. 1)

@@ -9,6 +9,18 @@ namespace pmx {
 
 namespace {
 
+/// Phase policy: working-set epoch and the Jaccard-overlap shift threshold
+/// below which consecutive epochs count as a phase change.
+constexpr TimeNs kPhaseEpoch{1000};
+constexpr double kPhaseShiftThreshold = 0.25;
+
+/// Safety valve for the pure-capacity policies (lru/lfu-decay/hybrid):
+/// entries idle this long are expired regardless of rank. Without it a
+/// capacity policy wedges dynamic TDM at drain time -- the last blocked
+/// senders wait on held slots that only an overflow could free, and nothing
+/// overflows once traffic stalls.
+constexpr TimeNs kIdleTtl{2000};
+
 /// Min-heap comparator for std::push_heap/pop_heap (which build max-heaps):
 /// "greater" entries sink, so the front is the smallest (rank, src, dst).
 /// The order is total -- (src, dst) is unique per connection -- so the pop
@@ -208,12 +220,12 @@ bool PolicyEngine::recommend_flush(TimeNs now) {
   return tracker_ && tracker_->phase_shifted(now);
 }
 
-std::unique_ptr<Predictor> make_policy(const PolicySpec& spec) {
+std::unique_ptr<PolicyEngine> make_policy(const PolicySpec& spec) {
   spec.validate();
   std::unique_ptr<WorkingSetTracker> tracker;
   if (spec.policy == "phase") {
-    tracker = std::make_unique<WorkingSetTracker>(TimeNs{spec.phase_epoch_ns},
-                                                  spec.phase_shift_threshold);
+    tracker = std::make_unique<WorkingSetTracker>(kPhaseEpoch,
+                                                  kPhaseShiftThreshold);
   }
   // Only the pure-capacity policies get the idle-TTL valve; the horizon
   // policies already expire on their own and must stay byte-identical to
@@ -221,10 +233,9 @@ std::unique_ptr<Predictor> make_policy(const PolicySpec& spec) {
   const bool capacity_policy = spec.policy == "lru" ||
                                spec.policy == "lfu-decay" ||
                                spec.policy == "hybrid";
-  const TimeNs idle_ttl =
-      capacity_policy ? TimeNs{spec.idle_ttl_ns} : TimeNs{0};
   return std::make_unique<PolicyEngine>(spec.policy, make_rank_fn(spec),
-                                        std::move(tracker), idle_ttl);
+                                        std::move(tracker),
+                                        capacity_policy ? kIdleTtl : TimeNs{0});
 }
 
 }  // namespace pmx

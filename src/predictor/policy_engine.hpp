@@ -7,14 +7,30 @@
 #include <unordered_set>
 #include <vector>
 
-#include "predictor/predictor.hpp"
+#include "common/message.hpp"
+#include "common/time.hpp"
 #include "predictor/rank_fn.hpp"
 #include "predictor/working_set.hpp"
 
 namespace pmx {
 
-/// PIFO-style policy engine: the single priority-queue core behind every
-/// eviction policy. Tracks one FlowState per live (src, dst) connection and
+/// The eviction predictor of Section 3.2, as one PIFO-style policy engine.
+/// Connections are identified by Conn pairs (see common/message.hpp).
+///
+/// The paper inverts the usual prediction problem: instead of predicting
+/// which connection to *add*, the predictor decides when to *remove* a
+/// connection from the communication working set so the multiplexing degree
+/// stays small. The network calls:
+///   on_establish  -- when the scheduler inserts a connection,
+///   on_use        -- every time data moves over the connection,
+///   on_release    -- when the connection leaves the network,
+/// and once per TDM slot collect_evictions() to learn which held
+/// connections should be dropped (unheld). should_hold() decides whether a
+/// connection is latched at all once the NIC's request signal goes away
+/// (Section 4, extension 3).
+///
+/// The engine is the single priority-queue core behind every eviction
+/// policy. It tracks one FlowState per live (src, dst) connection and
 /// keeps a lazy binary min-heap of (rank, conn) keys; the pluggable RankFn
 /// decides what the rank means (see rank_fn.hpp for the contract).
 ///
@@ -36,36 +52,38 @@ namespace pmx {
 /// predictor (evict batch, release, fault force-release, flush), so the
 /// mirror must stay bit-identical to the scheduler's hold matrix. The slot
 /// auditor cross-checks exactly that.
-class PolicyEngine final : public Predictor {
+class PolicyEngine final {
  public:
   /// `name` is the policy's public name (it may differ from the rank's,
   /// e.g. "phase" runs the timeout rank plus a WorkingSetTracker).
   /// `tracker`, when present, drives recommend_flush() from working-set
   /// phase shifts. `idle_ttl`, when positive, expires entries idle that
   /// long regardless of rank -- the drain-time safety valve for pure
-  /// capacity policies (see PolicySpec::idle_ttl_ns).
+  /// capacity policies (make_policy sets it for lru/lfu-decay/hybrid).
   PolicyEngine(std::string name, std::unique_ptr<RankFn> rank,
                std::unique_ptr<WorkingSetTracker> tracker = nullptr,
                TimeNs idle_ttl = TimeNs{0});
 
-  [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] bool should_hold(const Conn&) const override {
-    return rank_->holds();
-  }
+  [[nodiscard]] std::string name() const { return name_; }
+  /// Latch this connection when its request drops?
+  [[nodiscard]] bool should_hold(const Conn&) const { return rank_->holds(); }
 
-  void on_establish(const Conn& c, TimeNs now) override;
-  void on_use(const Conn& c, TimeNs now) override;
-  void on_release(const Conn& c, TimeNs now) override;
-  [[nodiscard]] std::vector<Conn> collect_evictions(TimeNs now) override;
-  void on_flush() override;
-  [[nodiscard]] bool recommend_flush(TimeNs now) override;
+  void on_establish(const Conn& c, TimeNs now);
+  void on_use(const Conn& c, TimeNs now);
+  void on_release(const Conn& c, TimeNs now);
+  /// Connections whose hold should now be dropped; they are forgotten.
+  [[nodiscard]] std::vector<Conn> collect_evictions(TimeNs now);
+  /// A compiler flush (Section 3.3) removed every dynamic connection:
+  /// discard all learned state.
+  void on_flush();
+  /// Should the network flush its learned connections now (a detected
+  /// phase change, Section 3.3)? Only the phase policy ever says yes.
+  [[nodiscard]] bool recommend_flush(TimeNs now);
 
-  void on_hold(const Conn& c, TimeNs now) override;
-  [[nodiscard]] bool mirrors_holds() const override { return true; }
-  [[nodiscard]] std::size_t held_count() const override {
-    return held_.size();
-  }
-  [[nodiscard]] bool believes_held(const Conn& c) const override {
+  /// Notified right after the scheduler latches a hold on `c`.
+  void on_hold(const Conn& c, TimeNs now);
+  [[nodiscard]] std::size_t held_count() const { return held_.size(); }
+  [[nodiscard]] bool believes_held(const Conn& c) const {
     return held_.contains(c);
   }
 
@@ -115,7 +133,8 @@ class PolicyEngine final : public Predictor {
 };
 
 /// Assemble the full predictor a PolicySpec describes (rank function plus,
-/// for the phase policy, its WorkingSetTracker).
-std::unique_ptr<Predictor> make_policy(const PolicySpec& spec);
+/// for the phase policy, its WorkingSetTracker; plus the idle-TTL valve for
+/// the capacity policies).
+std::unique_ptr<PolicyEngine> make_policy(const PolicySpec& spec);
 
 }  // namespace pmx

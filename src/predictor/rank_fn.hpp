@@ -4,10 +4,8 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/message.hpp"
 #include "common/time.hpp"
 
@@ -93,55 +91,26 @@ class RankFn {
   }
 };
 
-/// Policy selection plus every policy parameter, as one sweepable config
-/// value. Parsed from key=value Config bags (and therefore from any bench
-/// main's CLI via Config::from_cli) with the `policy` key family:
-///
-///   policy=lru policy-capacity=12
-///   policy=timeout policy-timeout=400
-///   policy=hybrid policy-capacity=8 policy-w-recency=1 policy-w-frequency=4
+/// Policy selection plus the policy's primary knob, as one sweepable config
+/// value parsed from a compact `name[:value]` token (bench sweep axes).
+/// Every secondary parameter (decay half-life, hybrid weights, phase epoch,
+/// idle TTL) is a fixed constant of make_rank_fn / make_policy; tests that
+/// need other values build the PolicyEngine directly.
 struct PolicySpec {
   std::string policy = "timeout";
 
   std::int64_t timeout_ns = 200;      ///< timeout/phase: idle horizon
   std::uint64_t threshold = 8;        ///< counter: network-wide uses
   std::uint64_t capacity = 16;        ///< lru/lfu-decay/hybrid: tracked cap
-  std::int64_t half_life_ns = 400;    ///< lfu-decay/hybrid: frequency decay
   std::int64_t lifetime_ns = 1000;    ///< deadline: lease from establish
-  std::int64_t phase_epoch_ns = 1000;  ///< phase: working-set epoch
-  double phase_shift_threshold = 0.25;  ///< phase: Jaccard flush threshold
-  std::uint64_t weight_recency = 1;    ///< hybrid: weight on recency rank
-  std::uint64_t weight_frequency = 4;  ///< hybrid: weight on frequency rank
-  std::int64_t recency_quantum_ns = 100;  ///< hybrid: recency quantization
-  /// Safety valve for the pure-capacity policies (lru/lfu-decay/hybrid):
-  /// entries idle this long are expired regardless of rank. Without it a
-  /// capacity policy wedges dynamic TDM at drain time -- the last blocked
-  /// senders wait on held slots that only an overflow could free, and
-  /// nothing overflows once traffic stalls. 0 disables the valve. Ignored
-  /// by the deadline/horizon policies (their expiry is the rank itself).
-  std::int64_t idle_ttl_ns = 2000;
-
-  /// Per-source-port overrides of the policy's primary knob (timeout/phase
-  /// -> idle horizon ns, deadline -> lifetime ns, counter -> threshold):
-  /// sorted (port, value) pairs parsed from `policy-port-overrides=
-  /// 3:400,7:100`. Ports not listed keep the global knob. Only supported by
-  /// the horizon-encoded policies -- a per-port capacity would change what
-  /// "tracked-set overflow" means and is rejected by validate(). An empty
-  /// list takes the exact global-only code path (byte-identical behavior).
-  std::vector<std::pair<NodeId, std::int64_t>> port_overrides;
 
   /// Policies selectable by name.
   [[nodiscard]] static const std::vector<std::string>& known_policies();
 
-  /// Read the `policy` key family out of a Config bag. Every key is read
-  /// (with its default as fallback) so strict CLI parsing accepts any
-  /// policy parameter for any policy.
-  [[nodiscard]] static PolicySpec from_config(const Config& cfg);
-
-  /// Parse a compact `name[:value]` token (bench sweep axes), where the
-  /// optional value sets the policy's primary knob: timeout/phase -> the
-  /// idle horizon in ns, counter -> the threshold, lru/lfu-decay/hybrid ->
-  /// the capacity, deadline -> the lifetime in ns.
+  /// Parse a compact `name[:value]` token, where the optional value sets
+  /// the policy's primary knob: timeout/phase -> the idle horizon in ns,
+  /// counter -> the threshold, lru/lfu-decay/hybrid -> the capacity,
+  /// deadline -> the lifetime in ns. The value must be a positive integer.
   [[nodiscard]] static PolicySpec parse(const std::string& token);
 
   /// Short display label, e.g. "timeout-200", "lru-16", "hybrid-8".
@@ -175,10 +144,7 @@ std::unique_ptr<RankFn> make_hybrid_rank(std::size_t capacity,
                                          TimeNs recency_quantum,
                                          TimeNs half_life);
 
-/// Build the rank function a PolicySpec names (validates the spec). With
-/// port_overrides set, the horizon-encoded policies are wrapped in a
-/// per-port dispatcher that ranks each flow by its source port's knob;
-/// without overrides the global rank object is returned directly.
+/// Build the rank function a PolicySpec names (validates the spec).
 std::unique_ptr<RankFn> make_rank_fn(const PolicySpec& spec);
 
 }  // namespace pmx

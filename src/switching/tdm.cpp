@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "predictor/policy_engine.hpp"
 
 namespace pmx {
 
@@ -179,9 +178,12 @@ void TdmNetwork::on_slot_tick() {
   }
   // Predictor evictions unlatch idle connections; the next SL pass over
   // their slot releases them.
-  for (const Conn& c : predictor_->collect_evictions(sim_.now())) {
+  const std::vector<Conn> evicted = predictor_->collect_evictions(sim_.now());
+  for (const Conn& c : evicted) {
     sched_.unhold(c.src, c.dst);
-    counters().counter("evictions") += 1;
+  }
+  if (!evicted.empty()) {
+    counters().counter("evictions") += evicted.size();
   }
 
   const auto slot = sched_.advance_slot();
@@ -195,6 +197,14 @@ void TdmNetwork::on_slot_tick() {
 
   const std::size_t n = params_.num_nodes;
   const TimeNs slot_start = sim_.now();
+  // Per-tick tallies, folded into the named counters once after the loop.
+  // A counter is only created when the tick has something to add to it
+  // (slot_bytes: when some granted pair got to drive data, even 0 bytes).
+  std::uint64_t idle_grants = 0;
+  std::uint64_t grant_stalls = 0;
+  std::uint64_t backpressure_stalls = 0;
+  std::uint64_t slot_bytes = 0;
+  bool drove = false;
   // Receiving processors consume from their input buffers once per slot.
   if (rx_buffer_ > 0) {
     for (auto& occupancy : rx_occupancy_) {
@@ -208,14 +218,14 @@ void TdmNetwork::on_slot_tick() {
     }
     const NodeId v = *granted;
     if (voqs_[u].empty(v)) {
-      counters().counter("idle_grants") += 1;
+      ++idle_grants;
       continue;
     }
     if (plane_ && !plane_->granted(u, v)) {
       // The connection is live in the fabric but the grant reply has not
       // reached (or was lost on the way to) NIC u: it will not drive data
       // it does not know it may drive.
-      counters().counter("grant_stalls") += 1;
+      ++grant_stalls;
       continue;
     }
     std::uint64_t budget = params_.slot_payload_bytes();
@@ -225,7 +235,7 @@ void TdmNetwork::on_slot_tick() {
       const std::uint64_t credit = rx_buffer_ - rx_occupancy_[v];
       if (credit < budget) {
         budget = credit;
-        counters().counter("backpressure_stalls") += 1;
+        ++backpressure_stalls;
       }
     }
     std::uint64_t sent = 0;
@@ -245,7 +255,8 @@ void TdmNetwork::on_slot_tick() {
                              params_.nic_cycle);
       }
     }
-    counters().counter("slot_bytes") += sent;
+    slot_bytes += sent;
+    drove = true;
     if (reopt_ && sent > 0) {
       reopt_->observe(u, v, sent);
     }
@@ -268,6 +279,18 @@ void TdmNetwork::on_slot_tick() {
         predictor_->on_hold(Conn{u, v}, slot_start);
       }
     }
+  }
+  if (idle_grants > 0) {
+    counters().counter("idle_grants") += idle_grants;
+  }
+  if (grant_stalls > 0) {
+    counters().counter("grant_stalls") += grant_stalls;
+  }
+  if (backpressure_stalls > 0) {
+    counters().counter("backpressure_stalls") += backpressure_stalls;
+  }
+  if (drove) {
+    counters().counter("slot_bytes") += slot_bytes;
   }
   starvation_scan();
   lease_scan();
@@ -300,29 +323,27 @@ void TdmNetwork::on_sl_tick() {
 void TdmNetwork::audit_control(std::vector<std::string>& out) {
   sched_.audit_invariants(out);
   const std::size_t n = params_.num_nodes;
-  if (predictor_->mirrors_holds()) {
-    // Hold conservation: the policy engine mirrors every hold latch, and
-    // every unlatch path notifies it, so the two hold sets must be
-    // bit-identical. Divergence means a policy-engine bookkeeping bug that
-    // would otherwise only show up as silent goodput loss.
-    std::size_t held = 0;
-    for (NodeId u = 0; u < n; ++u) {
-      sched_.holds().row(u).for_each_set([&](std::size_t v) {
-        ++held;
-        if (!predictor_->believes_held(Conn{u, v})) {
-          out.push_back("hold divergence (" + std::to_string(u) + " -> " +
-                        std::to_string(v) +
-                        "): scheduler latched a hold the predictor's mirror "
-                        "does not have");
-        }
-      });
-    }
-    if (held != predictor_->held_count()) {
-      out.push_back("hold count divergence: scheduler latches " +
-                    std::to_string(held) + " holds, predictor '" +
-                    predictor_->name() + "' mirrors " +
-                    std::to_string(predictor_->held_count()));
-    }
+  // Hold conservation: the policy engine mirrors every hold latch, and
+  // every unlatch path notifies it, so the two hold sets must be
+  // bit-identical. Divergence means a policy-engine bookkeeping bug that
+  // would otherwise only show up as silent goodput loss.
+  std::size_t held = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    sched_.holds().row(u).for_each_set([&](std::size_t v) {
+      ++held;
+      if (!predictor_->believes_held(Conn{u, v})) {
+        out.push_back("hold divergence (" + std::to_string(u) + " -> " +
+                      std::to_string(v) +
+                      "): scheduler latched a hold the predictor's mirror "
+                      "does not have");
+      }
+    });
+  }
+  if (held != predictor_->held_count()) {
+    out.push_back("hold count divergence: scheduler latches " +
+                  std::to_string(held) + " holds, predictor '" +
+                  predictor_->name() + "' mirrors " +
+                  std::to_string(predictor_->held_count()));
   }
   audit_views(out);
 }

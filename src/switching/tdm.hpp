@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "control/reopt_service.hpp"
-#include "predictor/predictor.hpp"
+#include "predictor/policy_engine.hpp"
 #include "sim/clock.hpp"
 #include "switching/tdm_fabric.hpp"
 
@@ -30,7 +30,7 @@ class TdmNetwork : public TdmFabricNetwork {
  public:
   struct Options {
     /// Eviction predictor; nullptr means the "none" policy (pure reactive).
-    std::unique_ptr<Predictor> predictor;
+    std::unique_ptr<PolicyEngine> predictor;
     /// Section 4 extension 2: replicate connections into idle slots.
     bool multi_slot_connections = false;
     /// Section 4 extension 1: number of scheduling-logic copies. Each SL
@@ -62,7 +62,7 @@ class TdmNetwork : public TdmFabricNetwork {
 
   void flush_hint() override;
 
-  [[nodiscard]] const Predictor& predictor() const { return *predictor_; }
+  [[nodiscard]] const PolicyEngine& predictor() const { return *predictor_; }
 
   /// The online re-optimization service, when params.reopt.enabled().
   [[nodiscard]] const ReoptService* reopt() const { return reopt_.get(); }
@@ -90,7 +90,7 @@ class TdmNetwork : public TdmFabricNetwork {
   /// in-flight control-message count (disruption accounting).
   std::uint64_t apply_reopt(const std::vector<BitMatrix>& tables, bool pinned);
 
-  std::unique_ptr<Predictor> predictor_;
+  std::unique_ptr<PolicyEngine> predictor_;
   /// Online slot-table re-optimization service; nullptr when disabled.
   std::unique_ptr<ReoptService> reopt_;
   Clock slot_clock_;

@@ -200,7 +200,6 @@ TEST(Experiment, PhasePredictorRunsEndToEnd) {
   const std::size_t n = 16;
   RunConfig config = config_for(SwitchKind::kDynamicTdm, n);
   config.policy.policy = "phase";
-  config.policy.phase_epoch_ns = 500;
   const Workload w = patterns::two_phase(n, 64, 3);
   const RunResult result = run_workload(config, w);
   EXPECT_TRUE(result.completed);

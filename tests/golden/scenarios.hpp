@@ -20,7 +20,7 @@ namespace pmx::golden {
 struct Scenario {
   std::int64_t timeout_ns = 0;
   std::uint64_t threshold = 0;
-  std::int64_t phase_epoch_ns = 0;
+  std::int64_t phase_epoch_ns = 0;  ///< capture-time epoch; 0 if not phase
   std::string id;  ///< golden file stem: <policy-label>_<workload>
   std::string policy;  ///< none | never-evict | timeout | counter | phase
   std::string workload;  ///< scatter | mesh | two-phase | chaos-mesh

@@ -34,9 +34,9 @@ PolicySpec scenario_policy(const golden::Scenario& s) {
   if (s.threshold != 0) {
     spec.threshold = s.threshold;
   }
-  if (s.phase_epoch_ns != 0) {
-    spec.phase_epoch_ns = s.phase_epoch_ns;
-  }
+  // make_policy runs the phase policy with its fixed 1000 ns epoch, the
+  // epoch the phase goldens were captured at.
+  EXPECT_TRUE(s.phase_epoch_ns == 0 || s.phase_epoch_ns == 1000) << s.id;
   spec.validate();
   return spec;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "predictor/policy_engine.hpp"
-#include "predictor/predictor.hpp"
 
 namespace pmx {
 namespace {
@@ -268,7 +267,6 @@ TEST(PolicyEngine, HeapCompactsUnderChurn) {
 
 TEST(PolicyEngine, MirrorsHoldLatches) {
   PolicyEngine p("timeout", make_timeout_rank(100_ns));
-  EXPECT_TRUE(p.mirrors_holds());
   p.on_establish(Conn{0, 1}, 0_ns);
   p.on_hold(Conn{0, 1}, 0_ns);
   EXPECT_TRUE(p.believes_held(Conn{0, 1}));
@@ -306,6 +304,10 @@ TEST(PolicySpecDeathTest, RejectsBadSpecs) {
   EXPECT_DEATH(PolicySpec::parse("lru:0"), "positive");
   EXPECT_DEATH(PolicySpec::parse("none:3"), "no parameter");
   EXPECT_DEATH(PolicySpec::parse("timeout:abc"), "integer");
+  // Negative knobs must not wrap through the unsigned capacity/threshold.
+  EXPECT_DEATH(PolicySpec::parse("lru:-1"), "positive");
+  EXPECT_DEATH(PolicySpec::parse("counter:-8"), "positive");
+  EXPECT_DEATH(PolicySpec::parse("hybrid:-2"), "positive");
 }
 
 TEST(PolicyFactories, ProduceExpectedNames) {

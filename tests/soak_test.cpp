@@ -96,10 +96,9 @@ TEST(TdmSoak, PhasePredictorSurvivesChurn) {
   SystemParams params;
   params.num_nodes = 16;
   TdmNetwork::Options options;
-  PolicySpec phase = PolicySpec::parse("phase:500");
-  phase.phase_epoch_ns = 2000;
-  phase.phase_shift_threshold = 0.3;
-  options.predictor = make_policy(phase);
+  options.predictor = std::make_unique<PolicyEngine>(
+      "phase", make_timeout_rank(500_ns),
+      std::make_unique<WorkingSetTracker>(2000_ns, 0.3));
   TdmNetwork net(sim, params, std::move(options));
   Rng rng(99);
   std::uint64_t submitted = 0;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+
 #include "predictor/policy_engine.hpp"
 #include "sim/simulator.hpp"
 
@@ -224,10 +228,9 @@ TEST(TdmNetwork, PhasePredictorAutoFlushesOnPhaseChange) {
   TdmNetwork::Options options;
   // Long timeout so only the phase detector can clear stale state; short
   // tracking epoch so the shift is seen quickly.
-  PolicySpec phase = PolicySpec::parse("phase:50000");
-  phase.phase_epoch_ns = 500;
-  phase.phase_shift_threshold = 0.5;
-  options.predictor = make_policy(phase);
+  options.predictor = std::make_unique<PolicyEngine>(
+      "phase", make_timeout_rank(50'000_ns),
+      std::make_unique<WorkingSetTracker>(500_ns, 0.5));
   TdmNetwork net(sim, small_params(8, 4), std::move(options));
   // Phase A: a stable working set.
   for (NodeId u = 0; u < 4; ++u) {
@@ -241,6 +244,64 @@ TEST(TdmNetwork, PhasePredictorAutoFlushesOnPhaseChange) {
   sim.run_until(20_us);
   EXPECT_GT(net.counters().value("auto_flushes"), 0u);
   EXPECT_EQ(net.queued_bytes(), 0u);
+}
+
+/// A recovery-mode audited network whose policy engine the test keeps a
+/// raw handle to, so it can corrupt the engine's hold mirror mid-run.
+struct AuditedTdm {
+  explicit AuditedTdm(Simulator& sim) {
+    SystemParams p = small_params();
+    p.audit.enabled = true;
+    TdmNetwork::Options options;
+    auto engine = make_policy(PolicySpec::parse("timeout:1000000"));
+    policy = engine.get();
+    options.predictor = std::move(engine);
+    net = std::make_unique<TdmNetwork>(sim, p, std::move(options));
+  }
+  PolicyEngine* policy = nullptr;
+  std::unique_ptr<TdmNetwork> net;
+};
+
+bool any_violation_contains(const SlotAuditor& auditor,
+                            const std::string& needle) {
+  const auto& found = auditor.last_violations();
+  return std::any_of(found.begin(), found.end(), [&](const std::string& v) {
+    return v.find(needle) != std::string::npos;
+  });
+}
+
+TEST(TdmNetwork, AuditorFlagsPhantomHoldInPolicyMirror) {
+  Simulator sim;
+  AuditedTdm tdm(sim);
+  tdm.net->submit(0, 1, 64);
+  sim.run_until(5_us);
+  tdm.net->auditor()->audit_now();
+  ASSERT_TRUE(tdm.net->auditor()->last_violations().empty());
+  // The engine mirrors a hold on (2, 3), which the scheduler never latched.
+  sim.schedule_after(100_ns,
+                     [&] { tdm.policy->on_hold(Conn{2, 3}, sim.now()); });
+  sim.run_until(10_us);
+  EXPECT_GT(tdm.net->auditor()->stats().violations, 0u);
+  EXPECT_TRUE(any_violation_contains(*tdm.net->auditor(),
+                                     "hold count divergence"));
+}
+
+TEST(TdmNetwork, AuditorFlagsSchedulerHoldMissingFromPolicyMirror) {
+  Simulator sim;
+  AuditedTdm tdm(sim);
+  tdm.net->submit(0, 1, 64);
+  sim.run_until(5_us);
+  // The drained connection stays latched: its timeout is a millisecond.
+  ASSERT_EQ(tdm.policy->held_count(), 1u);
+  tdm.net->auditor()->audit_now();
+  ASSERT_TRUE(tdm.net->auditor()->last_violations().empty());
+  // The engine forgets (0, 1) while the scheduler still holds it.
+  sim.schedule_after(100_ns,
+                     [&] { tdm.policy->on_release(Conn{0, 1}, sim.now()); });
+  sim.run_until(10_us);
+  EXPECT_GT(tdm.net->auditor()->stats().violations, 0u);
+  EXPECT_TRUE(any_violation_contains(*tdm.net->auditor(),
+                                     "hold divergence (0 -> 1)"));
 }
 
 TEST(TdmNetwork, DeterministicReplay) {

@@ -9,14 +9,15 @@ namespace {
 
 using namespace pmx::literals;
 
-/// The "phase" policy: timeout eviction plus a working-set flush detector.
-std::unique_ptr<Predictor> phase_policy(std::int64_t timeout_ns,
-                                        std::int64_t epoch_ns,
-                                        double shift_threshold = 0.25) {
-  PolicySpec spec = PolicySpec::parse("phase:" + std::to_string(timeout_ns));
-  spec.phase_epoch_ns = epoch_ns;
-  spec.phase_shift_threshold = shift_threshold;
-  return make_policy(spec);
+/// The "phase" policy: timeout eviction plus a working-set flush detector,
+/// built directly so the epoch and shift threshold can differ from the
+/// make_policy constants.
+std::unique_ptr<PolicyEngine> phase_policy(std::int64_t timeout_ns,
+                                           std::int64_t epoch_ns,
+                                           double shift_threshold = 0.25) {
+  return std::make_unique<PolicyEngine>(
+      "phase", make_timeout_rank(TimeNs{timeout_ns}),
+      std::make_unique<WorkingSetTracker>(TimeNs{epoch_ns}, shift_threshold));
 }
 
 TEST(WorkingSetTracker, CountsDistinctConnections) {
