@@ -68,12 +68,11 @@ struct Scenario {
 /// no randomness at all.
 pmx::Workload rotating_mux(std::size_t n, std::size_t m, std::uint64_t bytes,
                            std::size_t rounds, std::size_t epochs,
-                           pmx::TimeNs epoch_len, bool rotate,
-                           pmx::TimeNs nic_cycle) {
+                           pmx::TimeNs epoch_len, bool rotate) {
   pmx::Workload workload;
   workload.programs.resize(n);
   const std::int64_t issue =
-      nic_cycle.ns() * static_cast<std::int64_t>(m);
+      pmx::SystemParams::kNicCycle.ns() * static_cast<std::int64_t>(m);
   const std::int64_t gap =
       epoch_len.ns() / static_cast<std::int64_t>(rounds) - issue;
   PMX_CHECK(gap > 0, "epoch too short for the per-round send issue time");
@@ -222,7 +221,7 @@ int main(int argc, char** argv) {
   for (const bool rotate : {false, true}) {
     const pmx::Workload workload =
         rotating_mux(nodes, kPartners, 256, 6, epochs,
-                     pmx::TimeNs{epoch_ns}, rotate, defaults.nic_cycle);
+                     pmx::TimeNs{epoch_ns}, rotate);
     const std::vector<pmx::BitMatrix> plan =
         static_plan(first_window_demand(workload, reopt_window), nodes,
                     defaults.mux_degree);

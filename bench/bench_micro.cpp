@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the simulation kernels: bit-matrix
 // reductions, the gate-accurate scheduler pass, working-set decomposition,
-// the event queue, and an end-to-end small simulation.
+// the event queue, and the parallel sweep runner. End-to-end simulator
+// throughput is measured by perfbench (fig4-closed), not here.
 
 #include <benchmark/benchmark.h>
 
@@ -88,8 +89,7 @@ void BM_SlArrayPass(benchmark::State& state) {
 BENCHMARK(BM_SlArrayPass)->Arg(32)->Arg(128)->Arg(512);
 
 // Same workload through the cell-by-cell reference oracle. The ratio
-// BM_SlArrayPassRef / BM_SlArrayPass is the word-parallel speedup tracked
-// in BENCH_micro.json.
+// BM_SlArrayPassRef / BM_SlArrayPass is the word-parallel speedup.
 void BM_SlArrayPassRef(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const pmx::BitMatrix r = random_matrix(n, 0.1, 5);
@@ -202,19 +202,6 @@ void BM_EventQueueChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueueChurn);
-
-void BM_EndToEndRandomMesh(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const pmx::Workload workload = pmx::patterns::random_mesh(n, 256, 1, 3);
-  for (auto _ : state) {
-    pmx::RunConfig config;
-    config.params.num_nodes = n;
-    config.kind = pmx::SwitchKind::kDynamicTdm;
-    benchmark::DoNotOptimize(pmx::run_workload(config, workload));
-  }
-}
-BENCHMARK(BM_EndToEndRandomMesh)->Arg(16)->Arg(64)->Unit(
-    benchmark::kMillisecond);
 
 // Sweep-runner scaling: 16 small independent end-to-end runs distributed
 // over Arg(0) worker threads. On a multi-core host the jobs=4 point should

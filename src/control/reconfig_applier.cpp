@@ -8,17 +8,14 @@
 namespace pmx {
 
 ReconfigApplier::ReconfigApplier(Simulator& sim, ControlFaultModel* ctrl,
-                                 const ReoptParams& params, TimeNs slot_length,
-                                 TimeNs wire_latency, Hooks hooks,
-                                 ReoptStats& stats)
+                                 TimeNs slot_length, TimeNs wire_latency,
+                                 Hooks hooks, ReoptStats& stats)
     : sim_(sim),
       ctrl_(ctrl),
-      params_(params),
       slot_length_(slot_length),
       wire_(wire_latency),
       hooks_(std::move(hooks)),
       stats_(stats) {
-  params_.validate();
   PMX_CHECK(hooks_.apply && hooks_.capture && hooks_.delivered_bytes &&
                 hooks_.violations,
             "reconfig applier needs all four hooks");
@@ -45,8 +42,8 @@ void ReconfigApplier::stage(SlotOptimizer::Proposal proposal,
   // floor so a probation that still moves nothing rolls back. Without the
   // floor, one wedged window would disarm the guard for the next apply and
   // a catastrophic table could pin itself in forever.
-  const TimeNs probation = slot_length_ * static_cast<std::int64_t>(
-                                              params_.probation_slots);
+  const TimeNs probation =
+      slot_length_ * static_cast<std::int64_t>(ReoptParams::kProbationSlots);
   expected_probation_bytes_ = 0;
   if (baseline_window > TimeNs::zero()) {
     expected_probation_bytes_ =
@@ -88,8 +85,8 @@ void ReconfigApplier::on_command_arrival(std::uint64_t gen) {
   bytes_at_apply_ = hooks_.delivered_bytes();
   violations_at_apply_ = hooks_.violations();
   state_ = State::kProbation;
-  const TimeNs probation = slot_length_ * static_cast<std::int64_t>(
-                                              params_.probation_slots);
+  const TimeNs probation =
+      slot_length_ * static_cast<std::int64_t>(ReoptParams::kProbationSlots);
   sim_.schedule_after(probation, [this, gen] { on_probation_end(gen); });
 }
 
@@ -101,7 +98,8 @@ void ReconfigApplier::on_probation_end(std::uint64_t gen) {
   const bool violated = hooks_.violations() > violations_at_apply_;
   // Goodput guard: delivered * 100 < expected * pct, all integral.
   const bool dipped =
-      delivered * 100 < expected_probation_bytes_ * params_.guard_threshold_pct;
+      delivered * 100 <
+      expected_probation_bytes_ * ReoptParams::kGuardThresholdPct;
   if (violated || dipped) {
     // Roll back to the stashed pre-apply tables, unpinned: the reactive
     // path owns every slot again until the next solve earns trust. The

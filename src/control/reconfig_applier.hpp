@@ -67,8 +67,7 @@ class ReconfigApplier {
 
   /// `ctrl` may be null: reconfig commands then use a lossless scheduled
   /// delivery (the maintenance channel of a fault-free configuration).
-  ReconfigApplier(Simulator& sim, ControlFaultModel* ctrl,
-                  const ReoptParams& params, TimeNs slot_length,
+  ReconfigApplier(Simulator& sim, ControlFaultModel* ctrl, TimeNs slot_length,
                   TimeNs wire_latency, Hooks hooks, ReoptStats& stats);
 
   /// Stage one proposal: the reconfig command crosses the control channel
@@ -92,7 +91,6 @@ class ReconfigApplier {
 
   Simulator& sim_;
   ControlFaultModel* ctrl_;
-  ReoptParams params_;
   TimeNs slot_length_;
   TimeNs wire_;
   Hooks hooks_;

@@ -13,9 +13,6 @@ void ReoptParams::validate() const {
   PMX_CHECK(ewma_shift >= 1 && ewma_shift <= 16,
             "EWMA shift must be in [1, 16]");
   PMX_CHECK(work_budget >= 1, "work budget must be positive");
-  PMX_CHECK(probation_slots >= 1, "probation window must be positive");
-  PMX_CHECK(guard_threshold_pct <= 100,
-            "goodput guard is a percentage of the baseline");
 }
 
 ReoptService::ReoptService(Simulator& sim, ControlFaultModel* ctrl,
@@ -44,23 +41,23 @@ ReoptService::ReoptService(Simulator& sim, ControlFaultModel* ctrl,
             "(one always stays with the reactive scheduler)");
   params_.validate();
   applier_ = std::make_unique<ReconfigApplier>(
-      sim, ctrl, params_, slot_length, wire_latency, hooks_.applier, stats_);
+      sim, ctrl, slot_length, wire_latency, hooks_.applier, stats_);
 }
 
 void ReoptService::start() { clock_.start(); }
 
 void ReoptService::on_tick() {
   // Close the demand window: fold queued-but-undelivered backlog in first
-  // (starved pairs are demand too), then roll the EWMA. The backlog total
-  // also arms the probation guard's starvation floor below.
+  // (starved pairs are demand too -- delivery counters alone would
+  // under-report exactly the pairs the current table is failing), then roll
+  // the EWMA. The backlog total also arms the probation guard's starvation
+  // floor below.
   std::uint64_t queued = 0;
   if (hooks_.visit_queues) {
     hooks_.visit_queues(
         [this, &queued](NodeId u, NodeId v, std::uint64_t bytes) {
           queued += bytes;
-          if (params_.fold_occupancy) {
-            estimator_.observe(u, v, bytes);
-          }
+          estimator_.observe(u, v, bytes);
         });
   }
   estimator_.roll();
@@ -106,9 +103,10 @@ void ReoptService::on_tick() {
     proposal.covered = 0;
   } else {
     // Hysteresis: only reconfigure when the proposal beats what the live
-    // tables already cover by at least min_gain demand units.
+    // tables already cover by at least kMinGain demand units.
     const std::int64_t base = optimizer_.baseline_score(demand, current);
-    if (proposal.score < base + static_cast<std::int64_t>(params_.min_gain)) {
+    if (proposal.score <
+        base + static_cast<std::int64_t>(ReoptParams::kMinGain)) {
       return;
     }
     // Pad to the full register count: the reserved last table is empty, so

@@ -22,7 +22,6 @@ TrafficDriver::TrafficDriver(Simulator& sim, Network& network,
         [this](const Message& msg) { issue_next(msg.src); });
   }
   network_.set_delivered_handler([this](const MessageRecord&) {
-    ++delivered_;
     release_barrier_if_drained();
     maybe_stop();
   });
@@ -30,7 +29,6 @@ TrafficDriver::TrafficDriver(Simulator& sim, Network& network,
   // resolved so barriers release and the run terminates on a dead link
   // instead of hanging forever.
   network_.set_dropped_handler([this](const Message&) {
-    ++dropped_;
     release_barrier_if_drained();
     maybe_stop();
   });
@@ -38,7 +36,6 @@ TrafficDriver::TrafficDriver(Simulator& sim, Network& network,
   // from inside try_submit, which is safe: the submitting node is mid-send,
   // so no barrier can be pending and no spurious release is possible).
   network_.set_shed_handler([this](const Message&) {
-    ++shed_;
     release_barrier_if_drained();
     maybe_stop();
   });
@@ -68,25 +65,23 @@ void TrafficDriver::issue_next(NodeId u) {
           // advancing its program counter; the stall time is the
           // backpressure overload metric.
           const TimeNs stall = network_.params().slot_length;
-          backpressure_stall_ += stall;
           network_.counters().counter("backpressure_stall_ns") +=
               static_cast<std::uint64_t>(stall.ns());
           sim_.schedule_after(stall, [this, u] { issue_next(u); });
           return;
         }
         ++pc_[u];
-        ++submitted_;
         if (outcome.status == Network::SubmitStatus::kShed) {
           // The message was counted and immediately shed; no send-done will
           // ever fire for it, so resume the node directly in either mode.
-          sim_.schedule_after(network_.params().nic_cycle,
+          sim_.schedule_after(SystemParams::kNicCycle,
                               [this, u] { issue_next(u); });
           return;
         }
         if (mode_ == SendMode::kEager) {
           // One NIC cycle to hand the message to the output buffer, then
           // the processor moves on.
-          sim_.schedule_after(network_.params().nic_cycle,
+          sim_.schedule_after(SystemParams::kNicCycle,
                               [this, u] { issue_next(u); });
         }
         // kBlocking resumes from the send-done handler instead.
@@ -119,7 +114,7 @@ void TrafficDriver::reach_barrier(NodeId /*node*/) {
 }
 
 void TrafficDriver::release_barrier_if_drained() {
-  if (!barrier_pending_ || delivered_ + dropped_ + shed_ != submitted_) {
+  if (!barrier_pending_ || !drained()) {
     return;
   }
   barrier_pending_ = false;
@@ -136,11 +131,15 @@ void TrafficDriver::release_barrier_if_drained() {
 }
 
 void TrafficDriver::maybe_stop() {
-  if (!finished_ && nodes_done_ == workload_.num_nodes() &&
-      delivered_ + dropped_ + shed_ == submitted_) {
+  if (!finished_ && nodes_done_ == workload_.num_nodes() && drained()) {
     finished_ = true;
     sim_.stop();
   }
+}
+
+bool TrafficDriver::drained() const {
+  return messages_delivered() + messages_dropped() + messages_shed() ==
+         messages_submitted();
 }
 
 }  // namespace pmx

@@ -38,16 +38,20 @@ class TrafficDriver {
   void start();
 
   [[nodiscard]] bool finished() const { return finished_; }
-  [[nodiscard]] std::size_t messages_submitted() const { return submitted_; }
-  [[nodiscard]] std::size_t messages_delivered() const { return delivered_; }
+  /// The message ledger is the network's; these read it.
+  [[nodiscard]] std::size_t messages_submitted() const {
+    return network_.submitted_count();
+  }
+  [[nodiscard]] std::size_t messages_delivered() const {
+    return network_.delivered_count();
+  }
   /// Messages the reliability layer gave up on (retry budget exhausted).
-  [[nodiscard]] std::size_t messages_dropped() const { return dropped_; }
+  [[nodiscard]] std::size_t messages_dropped() const {
+    return network_.dropped_messages();
+  }
   /// Messages the admission controller shed under overload.
-  [[nodiscard]] std::size_t messages_shed() const { return shed_; }
-  /// Time processors spent stalled in backpressured sends (summed across
-  /// nodes; only nonzero under ShedPolicy::kBackpressure).
-  [[nodiscard]] TimeNs backpressure_stall() const {
-    return backpressure_stall_;
+  [[nodiscard]] std::size_t messages_shed() const {
+    return network_.shed_messages();
   }
   [[nodiscard]] std::size_t current_phase(NodeId u) const { return phase_[u]; }
 
@@ -56,6 +60,8 @@ class TrafficDriver {
   void reach_barrier(NodeId node);
   void release_barrier_if_drained();
   void maybe_stop();
+  /// Every submitted message was delivered, dropped or shed.
+  [[nodiscard]] bool drained() const;
 
   Simulator& sim_;
   Network& network_;
@@ -67,11 +73,6 @@ class TrafficDriver {
   std::size_t nodes_done_ = 0;
   std::size_t barrier_arrived_ = 0;
   bool barrier_pending_ = false;  ///< all nodes arrived, waiting for drain
-  std::size_t submitted_ = 0;
-  std::size_t delivered_ = 0;
-  std::size_t dropped_ = 0;
-  std::size_t shed_ = 0;
-  TimeNs backpressure_stall_{};
   bool finished_ = false;
 };
 

@@ -96,7 +96,6 @@ void fill_ctrl_metrics(const Network& network, RunMetrics& m) {
   if (const ControlFaultModel* cf = network.control_fault()) {
     m.ctrl_messages = cf->total_sent();
     m.ctrl_dropped = cf->total_dropped();
-    m.ctrl_corrupted = cf->total_corrupted();
     m.ctrl_delayed = cf->total_delayed();
     m.ctrl_rerequests = c.value("ctrl_rerequests");
     m.lease_expiries = c.value("lease_expiries");

@@ -72,6 +72,9 @@ struct RunMetrics {
   // --- Control-plane metrics (zero when the control-fault layer is off) ---
   std::uint64_t ctrl_messages = 0;   ///< request/grant/release sends
   std::uint64_t ctrl_dropped = 0;
+  /// Always 0: a corrupted control message is discarded by the receiver,
+  /// so the channel counts it under ctrl_dropped. Kept because the run
+  /// fingerprints (golden runs, benchmark gate) print it.
   std::uint64_t ctrl_corrupted = 0;
   std::uint64_t ctrl_delayed = 0;
   std::uint64_t ctrl_rerequests = 0;  ///< watchdog/revoke reissues

@@ -38,8 +38,6 @@ double ControlFaultParams::effective_loss(CtrlMsg kind) const {
 void ControlFaultParams::validate(TimeNs slot_length) const {
   PMX_CHECK(loss >= 0.0 && loss <= 1.0,
             "control loss rate must be in [0, 1]");
-  PMX_CHECK(corrupt >= 0.0 && corrupt <= 1.0,
-            "control corruption rate must be in [0, 1]");
   PMX_CHECK(delay_rate >= 0.0 && delay_rate <= 1.0,
             "control delay rate must be in [0, 1]");
   PMX_CHECK(delay >= TimeNs::zero(), "negative control delay");
@@ -74,11 +72,6 @@ ControlFaultModel::Verdict ControlFaultModel::decide(CtrlMsg kind) {
     ++st.dropped;
     return Verdict::kDrop;
   }
-  if (forced_corrupts_[k] > 0) {
-    --forced_corrupts_[k];
-    ++st.corrupted;
-    return Verdict::kCorrupt;
-  }
   if (forced_delays_[k] > 0) {
     --forced_delays_[k];
     ++st.delayed;
@@ -90,10 +83,6 @@ ControlFaultModel::Verdict ControlFaultModel::decide(CtrlMsg kind) {
   if (loss > 0.0 && rng_.chance(loss)) {
     ++st.dropped;
     return Verdict::kDrop;
-  }
-  if (params_.corrupt > 0.0 && rng_.chance(params_.corrupt)) {
-    ++st.corrupted;
-    return Verdict::kCorrupt;
   }
   if (params_.delay_rate > 0.0 && rng_.chance(params_.delay_rate)) {
     ++st.delayed;
@@ -111,9 +100,6 @@ bool ControlFaultModel::send(CtrlMsg kind, TimeNs latency, EventFn deliver) {
       sim_.schedule_after(latency + params_.delay, std::move(deliver));
       return true;
     case Verdict::kDrop:
-    case Verdict::kCorrupt:
-      // A corrupted control message fails the receiver's check and is
-      // discarded: behaviorally a drop, counted separately.
       return false;
   }
   return false;
@@ -121,10 +107,6 @@ bool ControlFaultModel::send(CtrlMsg kind, TimeNs latency, EventFn deliver) {
 
 void ControlFaultModel::force_drop(CtrlMsg kind, std::size_t n) {
   forced_drops_[static_cast<std::size_t>(kind)] += n;
-}
-
-void ControlFaultModel::force_corrupt(CtrlMsg kind, std::size_t n) {
-  forced_corrupts_[static_cast<std::size_t>(kind)] += n;
 }
 
 void ControlFaultModel::force_delay(CtrlMsg kind, std::size_t n) {
@@ -152,14 +134,6 @@ std::uint64_t ControlFaultModel::total_dropped() const {
   std::uint64_t total = 0;
   for (const KindStats& st : stats_) {
     total += st.dropped;
-  }
-  return total;
-}
-
-std::uint64_t ControlFaultModel::total_corrupted() const {
-  std::uint64_t total = 0;
-  for (const KindStats& st : stats_) {
-    total += st.corrupted;
   }
   return total;
 }

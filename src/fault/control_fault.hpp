@@ -36,12 +36,10 @@ struct ControlFaultParams {
   /// data-plane fault seed and the workload seed.
   std::uint64_t seed = 0xC7A15EEDu;
 
-  /// Probability that one control message is silently dropped in transit.
+  /// Probability that one control message is silently dropped in transit
+  /// (or arrives corrupted and is discarded by the receiver's check).
   /// Applies to every kind unless overridden per kind below.
   double loss = 0.0;
-  /// Probability that a control message arrives corrupted and is discarded
-  /// by the receiver's check ("effectively dropped", counted separately).
-  double corrupt = 0.0;
   /// Probability that a control message is delayed by `delay` (skew,
   /// serialization queueing on the control wire).
   double delay_rate = 0.0;
@@ -82,7 +80,7 @@ struct ControlFaultParams {
 
   /// True when any control-fault source (or force_enable) is configured.
   [[nodiscard]] bool enabled() const {
-    return force_enable || loss > 0.0 || corrupt > 0.0 || delay_rate > 0.0 ||
+    return force_enable || loss > 0.0 || delay_rate > 0.0 ||
            grant_loss > 0.0 || release_loss > 0.0 || reconfig_loss > 0.0;
   }
 
@@ -96,21 +94,20 @@ struct ControlFaultParams {
 /// Deterministic fault injector for the NIC <-> scheduler control channel.
 ///
 /// Every control message is routed through send(): one seeded draw decides
-/// whether it is delivered (possibly delayed), dropped, or corrupted
-/// (discarded by the receiver, i.e. dropped with a separate count).
-/// Scripted force_* hooks override the next n draws of one kind without
-/// consuming the RNG stream, mirroring FaultModel::force_corrupt_payloads /
-/// inject_link_fault.
+/// whether it is delivered (possibly delayed) or dropped. A corrupted
+/// control message fails the receiver's check and is discarded, so `loss`
+/// covers corruption too. Scripted force_* hooks override the next n draws
+/// of one kind without consuming the RNG stream, mirroring
+/// FaultModel::force_corrupt_payloads / inject_link_fault.
 class ControlFaultModel {
  public:
   /// What the channel decided for one message.
-  enum class Verdict : std::uint8_t { kDeliver, kDrop, kCorrupt, kDelay };
+  enum class Verdict : std::uint8_t { kDeliver, kDrop, kDelay };
 
   /// Per-kind delivery statistics.
   struct KindStats {
     std::uint64_t sent = 0;
     std::uint64_t dropped = 0;
-    std::uint64_t corrupted = 0;
     std::uint64_t delayed = 0;
   };
 
@@ -127,14 +124,13 @@ class ControlFaultModel {
 
   /// Route one control message through the lossy channel: schedules
   /// `deliver` after `latency` (plus `delay` when delayed) and returns true,
-  /// or drops/corrupts it and returns false (nothing scheduled).
+  /// or drops it and returns false (nothing scheduled).
   bool send(CtrlMsg kind, TimeNs latency, EventFn deliver);
 
   /// Scripted faults: the next `n` messages of `kind` are dropped /
-  /// corrupted / delayed regardless of the random draws (which are not
-  /// consumed). Deterministic test hooks.
+  /// delayed regardless of the random draws (which are not consumed).
+  /// Deterministic test hooks.
   void force_drop(CtrlMsg kind, std::size_t n);
-  void force_corrupt(CtrlMsg kind, std::size_t n);
   void force_delay(CtrlMsg kind, std::size_t n);
 
   /// Watchdog backoff before reissue attempt `attempt` (attempt 1 is the
@@ -147,7 +143,6 @@ class ControlFaultModel {
   /// Sums over all message kinds.
   [[nodiscard]] std::uint64_t total_sent() const;
   [[nodiscard]] std::uint64_t total_dropped() const;
-  [[nodiscard]] std::uint64_t total_corrupted() const;
   [[nodiscard]] std::uint64_t total_delayed() const;
 
  private:
@@ -156,7 +151,6 @@ class ControlFaultModel {
   Rng rng_;
   std::array<KindStats, kNumCtrlMsgKinds> stats_{};
   std::array<std::size_t, kNumCtrlMsgKinds> forced_drops_{};
-  std::array<std::size_t, kNumCtrlMsgKinds> forced_corrupts_{};
   std::array<std::size_t, kNumCtrlMsgKinds> forced_delays_{};
 };
 

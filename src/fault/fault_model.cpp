@@ -6,7 +6,7 @@
 
 namespace pmx {
 
-void FaultParams::validate(std::size_t num_nodes) const {
+void FaultParams::validate() const {
   PMX_CHECK(ber >= 0.0 && ber <= 1.0, "bit-error rate must be in [0, 1]");
   PMX_CHECK(ack_ber <= 1.0, "ack bit-error rate must be <= 1");
   PMX_CHECK(link_mtbf >= TimeNs::zero(), "negative link MTBF");
@@ -16,12 +16,8 @@ void FaultParams::validate(std::size_t num_nodes) const {
             "link parks queued traffic forever (scripted inject_link_fault "
             "still allows permanent outages)");
   PMX_CHECK(retry_budget >= 1, "retry budget must allow at least one attempt");
-  PMX_CHECK(retransmit_timeout > TimeNs::zero(),
-            "retransmit timeout must be positive");
   PMX_CHECK(backoff_base > TimeNs::zero(), "backoff base must be positive");
   PMX_CHECK(backoff_cap >= backoff_base, "backoff cap below backoff base");
-  PMX_CHECK(stuck_cells <= num_nodes * (num_nodes - 1),
-            "more stuck cells than off-diagonal SL cells");
 }
 
 FaultModel::FaultModel(Simulator& sim, const FaultParams& params,
@@ -31,32 +27,13 @@ FaultModel::FaultModel(Simulator& sim, const FaultParams& params,
       corrupt_rng_(params.seed),
       fault_rng_(Rng(params.seed).split()),
       up_(num_nodes, true) {
-  params_.validate(num_nodes);
+  params_.validate();
   payload_log1m_ber_ = params_.ber > 0.0 ? std::log1p(-params_.ber) : 0.0;
   const double ack_ber = params_.effective_ack_ber();
   ack_corrupt_p_ =
       ack_ber > 0.0
           ? -std::expm1(static_cast<double>(kAckBytes) * std::log1p(-ack_ber))
           : 0.0;
-
-  if (params_.stuck_cells > 0) {
-    // Rejection-sample distinct off-diagonal cells from the hard-fault
-    // stream (drawn before any timeline draw, so the set is stable).
-    while (stuck_cells_.size() < params_.stuck_cells) {
-      const auto u = static_cast<std::size_t>(fault_rng_.below(num_nodes));
-      const auto v = static_cast<std::size_t>(fault_rng_.below(num_nodes));
-      if (u == v) {
-        continue;
-      }
-      bool duplicate = false;
-      for (const auto& cell : stuck_cells_) {
-        duplicate = duplicate || cell == std::make_pair(u, v);
-      }
-      if (!duplicate) {
-        stuck_cells_.emplace_back(u, v);
-      }
-    }
-  }
 
   if (params_.link_mtbf > TimeNs::zero()) {
     for (NodeId node = 0; node < num_nodes; ++node) {

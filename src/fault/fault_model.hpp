@@ -17,6 +17,9 @@ namespace pmx {
 /// zero, in which case no FaultModel is instantiated at all and every
 /// network behaves exactly as the fault-free seed system (strict no-op).
 struct FaultParams {
+  /// How long the sender waits for an ACK before assuming it was lost.
+  static constexpr TimeNs kRetransmitTimeout{500};
+
   /// Seed for the fault model's private RNG streams. Two runs with the same
   /// seed (and the same workload) inject bit-identical fault sequences.
   std::uint64_t seed = 0x5EEDF417u;
@@ -48,18 +51,10 @@ struct FaultParams {
   /// simulations from degenerating into permanent outage churn).
   std::size_t max_link_faults = 1'000'000;
 
-  /// Number of SL-array cells stuck at zero (chosen uniformly at random at
-  /// construction). A stuck cell can never establish its connection
-  /// reactively; preloaded configurations bypass the SL array and still
-  /// work (the registers are written directly).
-  std::size_t stuck_cells = 0;
-
   // --- NIC retransmission (ARQ) knobs -----------------------------------
   /// Maximum transmission attempts per message before the NIC gives up and
   /// drops it permanently.
   std::size_t retry_budget = 16;
-  /// How long the sender waits for an ACK before assuming it was lost.
-  TimeNs retransmit_timeout{500};
   /// First retransmission backoff; doubles per attempt (exponential).
   TimeNs backoff_base{200};
   /// Upper bound on the exponential backoff.
@@ -73,7 +68,7 @@ struct FaultParams {
   /// True when any fault source (or force_enable) is configured.
   [[nodiscard]] bool enabled() const {
     return force_enable || ber > 0.0 || ack_ber > 0.0 ||
-           link_mtbf > TimeNs::zero() || stuck_cells > 0;
+           link_mtbf > TimeNs::zero();
   }
 
   /// Effective per-byte ACK corruption probability.
@@ -81,7 +76,7 @@ struct FaultParams {
     return ack_ber < 0.0 ? ber : ack_ber;
   }
 
-  void validate(std::size_t num_nodes) const;
+  void validate() const;
 };
 
 /// Deterministic fault injector shared by one network instance.
@@ -134,12 +129,6 @@ class FaultModel {
   /// independent of the random timeline.
   void inject_link_fault(NodeId node, TimeNs at, TimeNs duration);
 
-  /// SL cells stuck at zero, chosen at construction.
-  [[nodiscard]] const std::vector<std::pair<std::size_t, std::size_t>>&
-  stuck_cells() const {
-    return stuck_cells_;
-  }
-
  private:
   void fail_link(NodeId node, TimeNs repair_after, bool scripted);
   void repair_link(NodeId node);
@@ -160,7 +149,6 @@ class FaultModel {
   std::size_t links_down_ = 0;
   std::uint64_t injected_ = 0;
   std::vector<LinkListener> listeners_;
-  std::vector<std::pair<std::size_t, std::size_t>> stuck_cells_;
 };
 
 }  // namespace pmx

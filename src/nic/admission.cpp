@@ -40,14 +40,4 @@ ShedPolicy parse_shed_policy(const std::string& name) {
   return ShedPolicy::kTailDrop;
 }
 
-void AdmissionParams::validate() const {
-  if (!enabled()) {
-    return;
-  }
-  if (policy == ShedPolicy::kDeadline) {
-    PMX_CHECK(deadline > TimeNs::zero(),
-              "deadline shed policy needs a positive deadline");
-  }
-}
-
 }  // namespace pmx

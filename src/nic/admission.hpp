@@ -19,7 +19,7 @@ enum class ShedPolicy : std::uint8_t {
   /// Push out the oldest fully-unsent queued message to admit the newcomer
   /// (FIFO push-out: bounds queueing delay of what stays).
   kDropOldest,
-  /// Shed only queued messages whose age exceeds `AdmissionParams::deadline`
+  /// Shed only queued messages whose age exceeds `AdmissionParams::kDeadline`
   /// (their delivery would be useless anyway); if nothing has expired the
   /// newcomer is rejected instead. The expiry is encoded as an integer Rank
   /// exactly like the policy engine's deadline rank function
@@ -42,20 +42,19 @@ enum class ShedPolicy : std::uint8_t {
 /// default to zero (= unbounded), in which case no admission machinery runs
 /// at all and the system behaves bit-identically to the unbounded design.
 struct AdmissionParams {
+  /// kDeadline only: a queued message older than this has missed its
+  /// deadline and may be shed to make room.
+  static constexpr TimeNs kDeadline{5'000};
+
   /// Per-source queued-byte budget across all destinations (0 = unbounded).
   std::uint64_t capacity_bytes = 0;
   /// Per-source queued-message budget across all destinations (0 = none).
   std::size_t capacity_msgs = 0;
   ShedPolicy policy = ShedPolicy::kTailDrop;
-  /// kDeadline only: a queued message older than this has missed its
-  /// deadline and may be shed to make room.
-  TimeNs deadline{5'000};
 
   [[nodiscard]] bool enabled() const {
     return capacity_bytes > 0 || capacity_msgs > 0;
   }
-
-  void validate() const;
 };
 
 }  // namespace pmx

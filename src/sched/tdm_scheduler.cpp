@@ -15,7 +15,6 @@ TdmScheduler::TdmScheduler(const Options& options)
       holds_(n_),
       down_ports_(n_),
       up_cols_(n_, true),
-      usable_(n_),
       slots_(k_, BitMatrix(n_)),
       slot_ai_(k_, BitVector(n_)),
       slot_ao_(k_, BitVector(n_)),
@@ -25,10 +24,6 @@ TdmScheduler::TdmScheduler(const Options& options)
       slot_clean_(k_, false) {
   PMX_CHECK(n_ >= 2, "scheduler needs at least two ports");
   PMX_CHECK(k_ >= 1, "scheduler needs at least one slot");
-  const BitVector ones(n_, true);
-  for (std::size_t u = 0; u < n_; ++u) {
-    usable_.set_row(u, ones);
-  }
 }
 
 void TdmScheduler::set_request(std::size_t u, std::size_t v, bool value) {
@@ -112,22 +107,17 @@ void TdmScheduler::flush_dynamic() {
 
 BitMatrix TdmScheduler::effective_requests() const {
   BitMatrix r_eff = requests_ | holds_;
-  if (!any_fault_ && !any_stuck_) {
+  if (!any_fault_) {
     return r_eff;
   }
   const BitVector empty_row(n_);
   for (std::size_t u = 0; u < n_; ++u) {
-    if (any_fault_ && down_ports_.get(u)) {
+    if (down_ports_.get(u)) {
       r_eff.set_row(u, empty_row);
       continue;
     }
     BitVector row = r_eff.row(u);
-    if (any_fault_) {
-      row &= up_cols_;
-    }
-    if (any_stuck_) {
-      row &= usable_.row(u);
-    }
+    row &= up_cols_;
     r_eff.set_row(u, row);
   }
   return r_eff;
@@ -135,7 +125,7 @@ BitMatrix TdmScheduler::effective_requests() const {
 
 void TdmScheduler::force_clear(
     std::size_t u, std::size_t v,
-    std::vector<std::pair<std::size_t, std::size_t>>* released) {
+    std::vector<std::pair<std::size_t, std::size_t>>& released) {
   bool was_established = false;
   for (std::size_t s = 0; s < k_; ++s) {
     if (slots_[s].get(u, v)) {
@@ -149,9 +139,7 @@ void TdmScheduler::force_clear(
   }
   if (was_established) {
     ++stats_.forced_releases;
-    if (released != nullptr) {
-      released->emplace_back(u, v);
-    }
+    released.emplace_back(u, v);
   }
 }
 
@@ -171,27 +159,13 @@ std::vector<std::pair<std::size_t, std::size_t>> TdmScheduler::set_port_fault(
     // slots are reclaimed immediately.
     for (std::size_t v = 0; v < n_; ++v) {
       if (v != port && b_star_.get(port, v)) {
-        force_clear(port, v, &released);
+        force_clear(port, v, released);
       }
       if (v != port && b_star_.get(v, port)) {
-        force_clear(v, port, &released);
+        force_clear(v, port, released);
       }
     }
     rebuild_b_star();
-  }
-  mark_all_dirty();
-  return released;
-}
-
-bool TdmScheduler::set_stuck_cell(std::size_t u, std::size_t v) {
-  PMX_CHECK(u < n_ && v < n_ && u != v, "invalid stuck cell");
-  usable_.set(u, v, false);
-  any_stuck_ = true;
-  bool released = false;
-  if (b_star_.get(u, v)) {
-    force_clear(u, v, nullptr);
-    rebuild_b_star();
-    released = true;
   }
   mark_all_dirty();
   return released;

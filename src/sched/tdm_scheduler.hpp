@@ -20,8 +20,8 @@ struct SchedulerStats {
   std::uint64_t slot_advances = 0;  ///< TDM counter increments
   std::uint64_t slots_skipped = 0;  ///< empty configurations skipped
   std::uint64_t flushes = 0;        ///< flush-dynamic commands served
-  /// Connections force-released because their link died or their SL cell
-  /// is stuck (degraded-mode operation, not normal scheduling).
+  /// Connections force-released because their link died (degraded-mode
+  /// operation, not normal scheduling).
   std::uint64_t forced_releases = 0;
   /// Passes elided because the slot was quiescent (its previous pass made
   /// no change and no scheduler input has changed since) -- a simulator
@@ -124,15 +124,6 @@ class TdmScheduler {
   [[nodiscard]] bool port_failed(std::size_t port) const {
     return down_ports_.get(port);
   }
-  /// Model SL cell (u, v) stuck at zero: the cell can never toggle, so the
-  /// connection cannot be established (or released) reactively. If the
-  /// connection is currently established it is force-released. Preloading
-  /// still works -- configuration registers are written directly, bypassing
-  /// the SL array. Returns true when a live connection was released.
-  bool set_stuck_cell(std::size_t u, std::size_t v);
-  [[nodiscard]] bool cell_stuck(std::size_t u, std::size_t v) const {
-    return !usable_.get(u, v);
-  }
 
   // --- Scheduling pass (SL clock edge) ------------------------------------
   struct PassResult {
@@ -200,12 +191,12 @@ class TdmScheduler {
   void rebuild_slot_occupancy(std::size_t s);
   [[nodiscard]] std::optional<std::size_t> next_unpinned_slot();
   /// Effective request matrix for a scheduling pass: (R | holds) with dead
-  /// ports and stuck cells masked out.
+  /// ports masked out.
   [[nodiscard]] BitMatrix effective_requests() const;
   /// Clear (u, v) from every slot; appends the pair to `released` when it
   /// was established. Caller rebuilds B* and marks dirty.
   void force_clear(std::size_t u, std::size_t v,
-                   std::vector<std::pair<std::size_t, std::size_t>>* released);
+                   std::vector<std::pair<std::size_t, std::size_t>>& released);
 
   std::size_t n_;
   std::size_t k_;
@@ -216,9 +207,7 @@ class TdmScheduler {
   BitMatrix holds_;
   BitVector down_ports_;  ///< ports whose link is currently dead
   BitVector up_cols_;     ///< complement of down_ports_ (column mask)
-  BitMatrix usable_;      ///< all-ones minus stuck SL cells
   bool any_fault_ = false;
-  bool any_stuck_ = false;
   std::vector<BitMatrix> slots_;
   /// Cached per-slot occupancy reductions, maintained incrementally:
   /// slot_ai_[s] == slots_[s].row_or() and slot_ao_[s] == slots_[s].col_or()

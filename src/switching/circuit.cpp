@@ -127,7 +127,7 @@ void CircuitNetwork::start_next_message(NodeId src_id) {
       if (control_faulty()) {
         outputs_[src.active.dst].last_activity = sim_.now();
       }
-      sim_.schedule_after(params_.nic_cycle,
+      sim_.schedule_after(SystemParams::kNicCycle,
                           [this, src_id] { transmit(src_id); });
       return;
     }
@@ -145,14 +145,14 @@ void CircuitNetwork::start_next_message(NodeId src_id) {
     src.attempts = 1;
     // NIC cycle, then the request crosses the lossy control wire.
     send_request(src_id, src.active.dst,
-                 params_.nic_cycle + params_.control_wire_latency());
+                 SystemParams::kNicCycle + params_.control_wire_latency());
     if (params_.ctrl.heal) {
       arm_watchdog(src_id);
     }
     return;
   }
   // NIC cycle, then the request crosses the control wire to the scheduler.
-  sim_.schedule_after(params_.nic_cycle + params_.control_wire_latency(),
+  sim_.schedule_after(SystemParams::kNicCycle + params_.control_wire_latency(),
                       [this, src_id] { request_arrived(src_id); });
 }
 
@@ -218,7 +218,7 @@ void CircuitNetwork::grant_circuit(NodeId src_id) {
   }
   // 80 ns to schedule, 80 ns for the grant to reach the NIC.
   sim_.schedule_after(
-      params_.scheduler_latency + params_.control_wire_latency(),
+      SystemParams::kSchedulerLatency + params_.control_wire_latency(),
       [this, src_id] { transmit(src_id); });
 }
 
@@ -245,7 +245,7 @@ void CircuitNetwork::send_grant_msg(NodeId src_id, NodeId dst) {
   SourceState& src = sources_[src_id];
   const bool scheduled = control_fault()->send(
       CtrlMsg::kGrant,
-      params_.scheduler_latency + params_.control_wire_latency(),
+      SystemParams::kSchedulerLatency + params_.control_wire_latency(),
       [this, src_id, dst, ep = ctrl_epoch_] {
         if (ep != ctrl_epoch_) {
           counters().counter("ctrl_stale") += 1;
@@ -373,7 +373,7 @@ void CircuitNetwork::send_complete(NodeId src_id) {
   // Tail byte drains through the passive fabric to the destination NIC.
   notify_delivered(
       msg, send_done,
-      send_done + params_.passive_path_latency() + params_.nic_cycle);
+      send_done + params_.passive_path_latency() + SystemParams::kNicCycle);
 
   const FaultModel* fm = fault_model();
   const bool pipe_alive =

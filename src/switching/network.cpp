@@ -155,7 +155,7 @@ Network::SubmitOutcome Network::try_submit(NodeId src, NodeId dst,
           // Only messages whose deadline rank has expired may be evicted
           // (rank = submit_time + deadline, expired when rank <= now --
           // the same integer-rank encoding the PolicyEngine uses).
-          const TimeNs cutoff = sim_.now() - adm.deadline;
+          const TimeNs cutoff = sim_.now() - AdmissionParams::kDeadline;
           while (overflowing()) {
             auto victim = remove_shed_victim(src, true, cutoff);
             if (!victim.has_value()) {
@@ -312,7 +312,7 @@ void Network::handle_arrival(const Message& msg, TimeNs send_done,
       return;
     }
     ++st.attempts;
-    schedule_retransmit(msg, fault_->params().retransmit_timeout);
+    schedule_retransmit(msg, FaultParams::kRetransmitTimeout);
     return;
   }
   arq_.erase(it);

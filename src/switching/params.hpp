@@ -15,22 +15,24 @@ namespace pmx {
 
 /// All timing constants of the evaluated system (Section 5 of the paper),
 /// in one place. The defaults reproduce the paper's 128-processor setup.
+/// The paper evaluates one timing model, so its fixed NIC, switch and
+/// scheduler delays are constants; the fields are what a campaign sweeps.
 struct SystemParams {
+  /// Single-cycle NIC delay "to send or receive data".
+  static constexpr TimeNs kNicCycle{10};
+  /// Propagation through a digital crossbar (wormhole baseline).
+  static constexpr TimeNs kDigitalSwitchHop{10};
+  /// Propagation through the LVDS/optical crossbar: <2 ns, neglected.
+  static constexpr TimeNs kPassiveSwitchHop{0};
+  /// One scheduling pass, ASIC estimate for the 128x128 SL array.
+  static constexpr TimeNs kSchedulerLatency{80};
+  /// Wormhole worms are limited to 128 bytes (16 flits of 8 bytes).
+  static constexpr std::uint64_t kMaxWormBytes = 128;
+
   std::size_t num_nodes = 128;
 
   /// Serial link: 6.4 Gb/s, 10-foot cables, 30/20/30 ns serdes + wire.
   LinkModel::Params link{};
-
-  /// Single-cycle NIC delay "to send or receive data".
-  TimeNs nic_cycle{10};
-
-  /// Propagation through a digital crossbar (wormhole baseline).
-  TimeNs digital_switch_hop{10};
-  /// Propagation through the LVDS/optical crossbar: <2 ns, neglected.
-  TimeNs passive_switch_hop{0};
-
-  /// One scheduling pass, ASIC estimate for the 128x128 SL array.
-  TimeNs scheduler_latency{80};
 
   /// TDM slot clock period ("Each cycle is fixed at 100 ns or 80 bytes").
   TimeNs slot_length{100};
@@ -43,10 +45,6 @@ struct SystemParams {
   /// K: number of TDM configuration registers (the maximum multiplexing
   /// degree). Figure 4 uses 4; Figure 5 uses 3.
   std::size_t mux_degree = 4;
-
-  /// Wormhole parameters: 8-byte flits, worms limited to 128 bytes.
-  std::uint64_t flit_bytes = 8;
-  std::uint64_t max_worm_bytes = 128;
 
   /// Fault injection and NIC retransmission. All rates default to zero, in
   /// which case the fault layer is not instantiated at all and the system
@@ -88,11 +86,11 @@ struct SystemParams {
   /// Head-of-line latency NIC-to-NIC through the passive (LVDS/optical)
   /// fabric: 30+20+0+20+30 = 100 ns.
   [[nodiscard]] TimeNs passive_path_latency() const {
-    return link_model().through_passive_switch(passive_switch_hop);
+    return link_model().through_passive_switch(kPassiveSwitchHop);
   }
   /// Head latency through the digital fabric (wormhole): 30+20+10+20+30.
   [[nodiscard]] TimeNs digital_path_latency() const {
-    return link_model().through_passive_switch(digital_switch_hop);
+    return link_model().through_passive_switch(kDigitalSwitchHop);
   }
 
   /// One-way control-message latency NIC <-> scheduler ("the cable delay of

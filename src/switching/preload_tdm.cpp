@@ -8,14 +8,6 @@ namespace pmx {
 
 namespace {
 
-TdmScheduler::Options scheduler_options(const SystemParams& params) {
-  TdmScheduler::Options o;
-  o.num_ports = params.num_nodes;
-  o.num_slots = params.mux_degree;
-  o.skip_unrequested_slots = true;  // idle preloaded slots cost no time
-  return o;
-}
-
 /// Consecutive zero-progress slots tolerated before the loaded-configuration
 /// window is reshuffled towards head-of-line demand (see preemption note in
 /// the class description of fill_free_slots/on_slot_tick).
@@ -28,7 +20,7 @@ PreloadTdmNetwork::PreloadTdmNetwork(Simulator& sim,
                                      CompiledPlan plan)
     // Configuration registers are preloaded directly (out of band); only
     // the request/release wires are lossy, there is no grant reply to lose.
-    : TdmFabricNetwork(sim, params, scheduler_options(params),
+    : TdmFabricNetwork(sim, params, /*multi_slot_connections=*/false,
                        /*grant_line=*/false),
       plan_(std::move(plan)),
       slot_config_(params.mux_degree),
@@ -52,13 +44,11 @@ PreloadTdmNetwork::PreloadTdmNetwork(Simulator& sim,
 }
 
 void PreloadTdmNetwork::on_demand_roll() {
-  if (params_.reopt.fold_occupancy) {
-    for (NodeId u = 0; u < params_.num_nodes; ++u) {
-      voqs_[u].pending().for_each_set([&](std::size_t v) {
-        demand_->observe(u, static_cast<NodeId>(v),
-                         voqs_[u].bytes(static_cast<NodeId>(v)));
-      });
-    }
+  for (NodeId u = 0; u < params_.num_nodes; ++u) {
+    voqs_[u].pending().for_each_set([&](std::size_t v) {
+      demand_->observe(u, static_cast<NodeId>(v),
+                       voqs_[u].bytes(static_cast<NodeId>(v)));
+    });
   }
   demand_->roll();
 }
@@ -225,7 +215,7 @@ void PreloadTdmNetwork::fill_free_slots() {
     slot_config_[s] = cfg;
     counters().counter("config_loads") += 1;
     // Writing a configuration register costs one scheduler pass.
-    sim_.schedule_after(params_.scheduler_latency, [this, s, cfg] {
+    sim_.schedule_after(SystemParams::kSchedulerLatency, [this, s, cfg] {
       // The slot may have been retargeted while the write was in flight.
       if (slot_config_[s] == cfg) {
         sched_.preload(s, plan_.phases[phase_].configs[cfg], true);
@@ -254,37 +244,15 @@ void PreloadTdmNetwork::on_slot_tick() {
         // pair simply transmits nothing until the cable is repaired.
         continue;
       }
-      const std::size_t cfg = phase.config_of(u, v);
-      std::uint64_t budget = params_.slot_payload_bytes();
-      std::uint64_t sent = 0;
-      while (budget > 0 && !voqs_[u].empty(v)) {
-        // Only consume traffic belonging to the current phase: a head
-        // message tagged for a later phase waits for its own configs.
-        if (voqs_[u].head(v).phase != phase_) {
-          break;
-        }
-        Message completed;
-        const std::uint64_t taken = voqs_[u].consume(v, budget, &completed);
-        budget -= taken;
-        sent += taken;
-        if (completed.id != 0) {
-          const TimeNs done = slot_start + link_.serialization(sent);
-          notify_send_done(completed, done);
-          notify_delivered(completed, done,
-                           done + params_.passive_path_latency() +
-                               params_.nic_cycle);
-        }
-      }
+      // Only traffic belonging to the current phase moves: a head message
+      // tagged for a later phase waits for its own configurations.
+      const std::uint64_t sent =
+          transfer(u, v, params_.slot_payload_bytes(), slot_start, phase_);
       transmitted += sent;
       if (demand_ != nullptr && sent > 0) {
         demand_->observe(u, v, sent);
       }
-      if (sent > 0) {
-        note_traffic(u, v);
-      }
-      if (voqs_[u].empty(v)) {
-        set_intent(u, v, false);
-      }
+      const std::size_t cfg = phase.config_of(u, v);
       if (cfg != PhasePlan::kNoConfig) {
         config_sent_[cfg] += sent;
       }

@@ -6,31 +6,18 @@
 
 namespace pmx {
 
-namespace {
-
-TdmScheduler::Options scheduler_options(const SystemParams& params,
-                                        const TdmNetwork::Options& options) {
-  TdmScheduler::Options o;
-  o.num_ports = params.num_nodes;
-  o.num_slots = params.mux_degree;
-  o.multi_slot_connections = options.multi_slot_connections;
-  o.skip_unrequested_slots = true;  // held-but-idle slots cost no time
-  return o;
-}
-
-}  // namespace
-
 TdmNetwork::TdmNetwork(Simulator& sim, const SystemParams& params)
     : TdmNetwork(sim, params, Options{}) {}
 
 TdmNetwork::TdmNetwork(Simulator& sim, const SystemParams& params,
                        Options options)
-    : TdmFabricNetwork(sim, params, scheduler_options(params, options),
+    : TdmFabricNetwork(sim, params, options.multi_slot_connections,
                        /*grant_line=*/true),
       predictor_(options.predictor ? std::move(options.predictor)
                                    : make_policy(PolicySpec::parse("none"))),
       slot_clock_(sim, params.slot_length, [this] { on_slot_tick(); }),
-      sl_clock_(sim, params.scheduler_latency, [this] { on_sl_tick(); }),
+      sl_clock_(sim, SystemParams::kSchedulerLatency,
+                [this] { on_sl_tick(); }),
       sl_units_(options.sl_units == 0 ? 1 : options.sl_units),
       rx_buffer_(options.receiver_buffer_bytes),
       rx_drain_(options.receiver_drain_per_slot) {
@@ -46,11 +33,6 @@ TdmNetwork::TdmNetwork(Simulator& sim, const SystemParams& params,
     progress_.assign(params.num_nodes, 0);
   }
   if (FaultModel* fm = fault_model()) {
-    // Stuck SL cells are permanent manufacturing faults: masked from every
-    // scheduling pass from the start.
-    for (const auto& [u, v] : fm->stuck_cells()) {
-      sched_.set_stuck_cell(u, v);
-    }
     fm->subscribe([this](NodeId node, bool up) { on_link_change(node, up); });
   }
   if (params.reopt.enabled()) {
@@ -82,7 +64,7 @@ TdmNetwork::TdmNetwork(Simulator& sim, const SystemParams& params,
     reopt_ = std::make_unique<ReoptService>(
         sim, control_fault(), params.reopt, params.num_nodes, params.mux_degree,
         params.slot_length, params.control_wire_latency(),
-        params.scheduler_latency, std::move(hooks));
+        SystemParams::kSchedulerLatency, std::move(hooks));
     reopt_->start();
   }
   slot_clock_.start();
@@ -238,23 +220,8 @@ void TdmNetwork::on_slot_tick() {
         ++backpressure_stalls;
       }
     }
-    std::uint64_t sent = 0;
-    while (budget > 0 && !voqs_[u].empty(v)) {
-      Message completed;
-      const std::uint64_t taken = voqs_[u].consume(v, budget, &completed);
-      budget -= taken;
-      sent += taken;
-      if (completed.id != 0) {
-        // Last byte of this message leaves the NIC `sent` bytes into the
-        // slot's data window; it lands after the passive-fabric pipe plus
-        // the receive NIC cycle.
-        const TimeNs done = slot_start + link_.serialization(sent);
-        notify_send_done(completed, done);
-        notify_delivered(completed, done,
-                         done + params_.passive_path_latency() +
-                             params_.nic_cycle);
-      }
-    }
+    const std::uint64_t sent =
+        transfer(u, v, budget, slot_start, /*phase=*/std::nullopt);
     slot_bytes += sent;
     drove = true;
     if (reopt_ && sent > 0) {
@@ -266,18 +233,10 @@ void TdmNetwork::on_slot_tick() {
     if (rx_buffer_ > 0) {
       rx_occupancy_[v] += sent;
     }
-    if (sent > 0) {
-      note_traffic(u, v);
-    }
     predictor_->on_use(Conn{u, v}, slot_start);
-    if (voqs_[u].empty(v)) {
-      // Under a lossy control channel the release is a message: R[u][v]
-      // clears on arrival (or by lease expiry if the message is lost).
-      set_intent(u, v, false);
-      if (predictor_->should_hold(Conn{u, v})) {
-        sched_.hold(u, v);
-        predictor_->on_hold(Conn{u, v}, slot_start);
-      }
+    if (voqs_[u].empty(v) && predictor_->should_hold(Conn{u, v})) {
+      sched_.hold(u, v);
+      predictor_->on_hold(Conn{u, v}, slot_start);
     }
   }
   if (idle_grants > 0) {

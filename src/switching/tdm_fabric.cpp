@@ -5,10 +5,13 @@
 namespace pmx {
 
 TdmFabricNetwork::TdmFabricNetwork(Simulator& sim, const SystemParams& params,
-                                   const TdmScheduler::Options& sched_options,
-                                   bool grant_line)
+                                   bool multi_slot_connections, bool grant_line)
     : Network(sim, params),
-      sched_(sched_options),
+      sched_(TdmScheduler::Options{
+          .num_ports = params.num_nodes,
+          .num_slots = params.mux_degree,
+          .multi_slot_connections = multi_slot_connections,
+          .skip_unrequested_slots = true}),
       xbar_(params.num_nodes, FabricKind::kLvds),
       voqs_(params.num_nodes, VoqSet(params.num_nodes)) {
   if (admission_enabled()) {
@@ -41,6 +44,42 @@ void TdmFabricNetwork::apply_request(NodeId u, NodeId v, bool value) {
     // grant): re-acknowledge so the NIC's granted-belief converges.
     plane_->send_grant(u, v, true);
   }
+}
+
+std::uint64_t TdmFabricNetwork::transfer(NodeId u, NodeId v,
+                                         std::uint64_t budget,
+                                         TimeNs slot_start,
+                                         std::optional<std::size_t> phase) {
+  VoqSet& voq = voqs_[u];
+  std::uint64_t sent = 0;
+  while (budget > 0 && !voq.empty(v)) {
+    if (phase.has_value() && voq.head(v).phase != *phase) {
+      break;
+    }
+    Message completed;
+    const std::uint64_t taken = voq.consume(v, budget, &completed);
+    budget -= taken;
+    sent += taken;
+    if (completed.id != 0) {
+      // Last byte of this message leaves the NIC `sent` bytes into the
+      // slot's data window; it lands after the passive-fabric pipe plus the
+      // receive NIC cycle.
+      const TimeNs done = slot_start + link_.serialization(sent);
+      notify_send_done(completed, done);
+      notify_delivered(completed, done,
+                       done + params_.passive_path_latency() +
+                           SystemParams::kNicCycle);
+    }
+  }
+  if (sent > 0) {
+    note_traffic(u, v);
+  }
+  if (voq.empty(v)) {
+    // Under a lossy control channel the release is a message: R[u][v]
+    // clears on arrival (or by lease expiry if the message is lost).
+    set_intent(u, v, false);
+  }
+  return sent;
 }
 
 void TdmFabricNetwork::lease_scan() {

@@ -35,8 +35,10 @@ class TdmFabricNetwork : public Network {
   [[nodiscard]] ControlPlane* control_plane() { return plane_.get(); }
 
  protected:
+  /// Both paradigms rotate with skip_unrequested_slots on: held-but-idle
+  /// and preloaded-but-idle slots cost no time.
   TdmFabricNetwork(Simulator& sim, const SystemParams& params,
-                   const TdmScheduler::Options& sched_options, bool grant_line);
+                   bool multi_slot_connections, bool grant_line);
 
   /// The NIC raised (`want`) or dropped its intent for (u, v). Lossless,
   /// this is the request wire itself; with a control plane it becomes a
@@ -58,6 +60,14 @@ class TdmFabricNetwork : public Network {
       plane_->refresh_lease(u, v);
     }
   }
+  /// Move up to `budget` bytes from NIC u's VOQ for v across the granted
+  /// connection in the slot that began at `slot_start`. With `phase` set,
+  /// stops at a head message tagged for another phase. Each completed
+  /// message gets its send-done and delivered notifications; moved bytes
+  /// count as traffic on (u, v); a drained VOQ drops the pair's intent.
+  /// Returns the bytes moved.
+  std::uint64_t transfer(NodeId u, NodeId v, std::uint64_t budget,
+                         TimeNs slot_start, std::optional<std::size_t> phase);
   /// Lease sweep (control plane only): clear request bits whose NIC has
   /// been silent longer than the lease (the release message was lost) and
   /// revoke their grants.

@@ -56,7 +56,7 @@ void WormholeNetwork::on_link_change(NodeId node, bool up) {
 void WormholeNetwork::do_submit(const Message& msg) {
   sources_[msg.src].voqs.push(msg);
   // One NIC cycle before the freshly queued message can contend.
-  sim_.schedule_after(params_.nic_cycle,
+  sim_.schedule_after(SystemParams::kNicCycle,
                       [this, src = msg.src] { try_dispatch(src); });
 }
 
@@ -115,12 +115,12 @@ void WormholeNetwork::try_dispatch(NodeId src_id) {
     src.active_msg = src.voqs.head(v).id;
     output_busy_[v] = true;
     const std::uint64_t worm_bytes =
-        std::min(src.voqs.head_remaining(v), params_.max_worm_bytes);
+        std::min(src.voqs.head_remaining(v), SystemParams::kMaxWormBytes);
     counters().counter("worms") += 1;
     // Head-flit arbitration (80 ns) + flit stream at line rate; input and
     // output are both held for the duration.
     const TimeNs duration =
-        params_.scheduler_latency + link_.serialization(worm_bytes);
+        SystemParams::kSchedulerLatency + link_.serialization(worm_bytes);
     sim_.schedule_after(duration, [this, src_id, v, worm_bytes] {
       worm_done(src_id, v, worm_bytes);
     });
@@ -143,7 +143,7 @@ void WormholeNetwork::worm_done(NodeId src_id, NodeId dst,
     notify_send_done(completed, send_done);
     notify_delivered(completed, send_done,
                      send_done + params_.digital_path_latency() +
-                         params_.nic_cycle);
+                         SystemParams::kNicCycle);
   }
 
   src.busy = false;

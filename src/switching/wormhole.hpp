@@ -12,8 +12,8 @@ namespace pmx {
 /// The NIC is the same one the TDM system uses (Section 4): N logical output
 /// queues per node. Worm dispatch works like an input-queued switch with
 /// per-worm matching:
-///  * messages are cut into worms of at most `max_worm_bytes` (128 B) to
-///    ensure fairness; flits are 8 B;
+///  * messages are cut into worms of at most SystemParams::kMaxWormBytes
+///    (128 B) to ensure fairness; flits are 8 B;
 ///  * every worm pays the 80 ns scheduling (arbitration) delay for its head
 ///    flit; subsequent flits stream at 10 ns each (= flit serialization at
 ///    6.4 Gb/s), so a worm holds its input and output port for

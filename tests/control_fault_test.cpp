@@ -28,9 +28,6 @@ TEST(ControlFaultParams, AnyFaultSourceEnables) {
   p.loss = 0.1;
   EXPECT_TRUE(p.enabled());
   p = ControlFaultParams{};
-  p.corrupt = 0.1;
-  EXPECT_TRUE(p.enabled());
-  p = ControlFaultParams{};
   p.delay_rate = 0.1;
   EXPECT_TRUE(p.enabled());
   p = ControlFaultParams{};
@@ -62,9 +59,6 @@ TEST(ControlFaultParams, ValidateRejectsBadKnobs) {
   p.loss = 1.5;
   EXPECT_DEATH(p.validate(kSlot), "loss rate");
   p = ControlFaultParams{};
-  p.corrupt = -0.1;
-  EXPECT_DEATH(p.validate(kSlot), "corruption rate");
-  p = ControlFaultParams{};
   p.delay_rate = 2.0;
   EXPECT_DEATH(p.validate(kSlot), "delay rate");
   p = ControlFaultParams{};
@@ -90,7 +84,6 @@ TEST(ControlFaultParams, ZeroLeaseDisablesLeasesAndValidates) {
 TEST(ControlFaultModel, VerdictStreamIsSeedDeterministic) {
   ControlFaultParams p;
   p.loss = 0.2;
-  p.corrupt = 0.1;
   p.delay_rate = 0.1;
   Simulator sim_a;
   Simulator sim_b;
@@ -101,7 +94,6 @@ TEST(ControlFaultModel, VerdictStreamIsSeedDeterministic) {
     EXPECT_EQ(a.decide(kind), b.decide(kind));
   }
   EXPECT_GT(a.total_dropped(), 0u);
-  EXPECT_GT(a.total_corrupted(), 0u);
   EXPECT_GT(a.total_delayed(), 0u);
   EXPECT_EQ(a.total_sent(), 2000u);
 }
@@ -128,10 +120,8 @@ TEST(ControlFaultModel, ScriptedFaultsOverrideWithoutConsumingRng) {
   ControlFaultModel a(sim_a, p, kSlot);
   ControlFaultModel b(sim_b, p, kSlot);
   a.force_drop(CtrlMsg::kRequest, 1);
-  a.force_corrupt(CtrlMsg::kRequest, 1);
   a.force_delay(CtrlMsg::kRequest, 1);
   EXPECT_EQ(a.decide(CtrlMsg::kRequest), ControlFaultModel::Verdict::kDrop);
-  EXPECT_EQ(a.decide(CtrlMsg::kRequest), ControlFaultModel::Verdict::kCorrupt);
   EXPECT_EQ(a.decide(CtrlMsg::kRequest), ControlFaultModel::Verdict::kDelay);
   for (int i = 0; i < 500; ++i) {
     EXPECT_EQ(a.decide(CtrlMsg::kRequest), b.decide(CtrlMsg::kRequest));

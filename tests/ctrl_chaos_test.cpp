@@ -1,5 +1,6 @@
 // Seeded chaos campaign across all four switching paradigms: random control
-// message loss/corruption/delay with the self-healing machinery and the
+// message loss (a corrupted message is discarded, so it counts as loss) and
+// delay with the self-healing machinery and the
 // recovery-mode auditor on. Every run must terminate with every message
 // delivered, a clean final audit, and bit-identical metrics on a repeat run.
 
@@ -21,8 +22,7 @@ constexpr SwitchKind kKinds[] = {
 RunConfig chaos_config(SwitchKind kind, bool heal) {
   RunConfig config;
   config.params.num_nodes = 16;
-  config.params.ctrl.loss = 0.15;
-  config.params.ctrl.corrupt = 0.05;
+  config.params.ctrl.loss = 0.20;
   config.params.ctrl.delay_rate = 0.1;
   config.params.ctrl.heal = heal;
   config.params.fault.force_enable = true;  // arm the conservation ledger

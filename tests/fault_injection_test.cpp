@@ -182,39 +182,6 @@ TEST(FaultInjection, DynamicTdmMasksAndReestablishes) {
   EXPECT_GT(net.counters().value("link_repairs"), 0u);
 }
 
-TEST(FaultInjection, DynamicTdmStuckCellsRouteAroundInUnstuckPairs) {
-  SystemParams p;
-  p.num_nodes = 8;
-  p.fault.stuck_cells = 6;
-  Simulator sim;
-  TdmNetwork net(sim, p);
-  const auto& stuck = net.fault_model()->stuck_cells();
-  ASSERT_EQ(stuck.size(), 6u);
-  // Pick a pair whose SL cell is healthy and verify it still communicates.
-  NodeId src = 0;
-  NodeId dst = 1;
-  const auto is_stuck = [&stuck](NodeId u, NodeId v) {
-    for (const auto& [su, sv] : stuck) {
-      if (su == u && sv == v) {
-        return true;
-      }
-    }
-    return false;
-  };
-  for (NodeId u = 0; u < 8 && is_stuck(src, dst); ++u) {
-    for (NodeId v = 0; v < 8; ++v) {
-      if (u != v && !is_stuck(u, v)) {
-        src = u;
-        dst = v;
-      }
-    }
-  }
-  ASSERT_FALSE(is_stuck(src, dst));
-  net.submit(src, dst, 1024);
-  sim.run_until(1'000_us);
-  EXPECT_EQ(net.delivered_count(), 1u);
-}
-
 TEST(FaultInjection, PreloadTdmRetransmitsWithinPhaseBudget) {
   RunConfig config;
   config.params.num_nodes = 16;

@@ -1,13 +1,12 @@
 // Unit tests of the fault-injection subsystem: FaultParams gating, the
 // deterministic RNG streams, the hard-fault timeline, and the scheduler's
-// degraded mode (port masking + stuck cells).
+// degraded mode (port masking).
 
 #include "fault/fault_model.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "sched/tdm_scheduler.hpp"
@@ -29,9 +28,6 @@ TEST(FaultParams, AnyFaultSourceEnables) {
   EXPECT_TRUE(p.enabled());
   p = FaultParams{};
   p.link_mtbf = 1000_ns;
-  EXPECT_TRUE(p.enabled());
-  p = FaultParams{};
-  p.stuck_cells = 1;
   EXPECT_TRUE(p.enabled());
   p = FaultParams{};
   p.ack_ber = 1e-6;
@@ -178,27 +174,6 @@ TEST(FaultModel, MaxLinkFaultsCapsRandomTimeline) {
   EXPECT_LE(fm.faults_injected(), 5u);
 }
 
-TEST(FaultModel, StuckCellsAreUniqueOffDiagonalAndDeterministic) {
-  FaultParams p;
-  p.stuck_cells = 10;
-  const auto cells_of = [&p] {
-    Simulator sim;
-    FaultModel fm(sim, p, 8);
-    return fm.stuck_cells();
-  };
-  const auto cells = cells_of();
-  EXPECT_EQ(cells.size(), 10u);
-  std::set<std::pair<std::size_t, std::size_t>> unique(cells.begin(),
-                                                       cells.end());
-  EXPECT_EQ(unique.size(), cells.size());
-  for (const auto& [u, v] : cells) {
-    EXPECT_LT(u, 8u);
-    EXPECT_LT(v, 8u);
-    EXPECT_NE(u, v);
-  }
-  EXPECT_EQ(cells, cells_of());
-}
-
 // --- Scheduler degraded mode ----------------------------------------------
 
 TdmScheduler::Options sched_opts(std::size_t n, std::size_t k) {
@@ -260,28 +235,6 @@ TEST(SchedulerFaults, PortFaultClearsPinnedSlots) {
   EXPECT_EQ(released[0], (std::pair<std::size_t, std::size_t>{0, 1}));
   EXPECT_FALSE(sched.is_established(0, 1));
   EXPECT_TRUE(sched.is_established(2, 3));  // unrelated pair survives
-}
-
-TEST(SchedulerFaults, StuckCellBlocksEstablishment) {
-  TdmScheduler sched(sched_opts(8, 4));
-  EXPECT_FALSE(sched.set_stuck_cell(1, 5));  // not established yet
-  EXPECT_TRUE(sched.cell_stuck(1, 5));
-  sched.set_request(1, 5, true);
-  sched.set_request(2, 6, true);
-  for (std::size_t i = 0; i < 2 * sched.num_slots(); ++i) {
-    sched.run_pass();
-  }
-  EXPECT_FALSE(sched.is_established(1, 5));  // stuck cell never connects
-  EXPECT_TRUE(sched.is_established(2, 6));   // healthy cell unaffected
-}
-
-TEST(SchedulerFaults, StuckCellForceReleasesLiveConnection) {
-  TdmScheduler sched(sched_opts(8, 4));
-  sched.set_request(1, 5, true);
-  sched.run_pass();
-  ASSERT_TRUE(sched.is_established(1, 5));
-  EXPECT_TRUE(sched.set_stuck_cell(1, 5));
-  EXPECT_FALSE(sched.is_established(1, 5));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -13,10 +14,10 @@ namespace pmx::golden {
 /// the same table drives both the pre-refactor capture (mapped onto the old
 /// predictor enum) and the post-refactor suite (mapped onto PolicySpec).
 ///
-/// The integer fields lead: gtest names each PolicyConformance case after a
-/// raw byte dump of its Scenario, and a leading std::string would put a heap
-/// pointer (which moves with ASLR and the build path) at the front of every
-/// test name.
+/// gtest prints each PolicyConformance case's parameter into its listed test
+/// name; PrintTo below prints the id, so the names are stable across builds
+/// (the default raw byte dump would embed the std::string members' heap
+/// pointers, which move with ASLR and the build path).
 struct Scenario {
   std::int64_t timeout_ns = 0;
   std::uint64_t threshold = 0;
@@ -25,6 +26,9 @@ struct Scenario {
   std::string policy;  ///< none | never-evict | timeout | counter | phase
   std::string workload;  ///< scatter | mesh | two-phase | chaos-mesh
 };
+
+/// gtest printer for Scenario (found by argument-dependent lookup).
+inline void PrintTo(const Scenario& s, std::ostream* os) { *os << s.id; }
 
 /// Clean-path scenarios use 24 nodes / 192-byte messages; the chaos-mesh
 /// scenarios shrink to 16 nodes and layer lossy control + random link

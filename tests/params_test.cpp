@@ -11,13 +11,27 @@ TEST(SystemParams, PaperDefaults) {
   const SystemParams p;
   EXPECT_EQ(p.num_nodes, 128u);
   EXPECT_EQ(p.link.bandwidth_dgbps, 64);  // 6.4 Gb/s
-  EXPECT_EQ(p.nic_cycle, 10_ns);
-  EXPECT_EQ(p.scheduler_latency, 80_ns);
   EXPECT_EQ(p.slot_length, 100_ns);
+  EXPECT_EQ(p.guard_band, 20_ns);
   EXPECT_EQ(p.mux_degree, 4u);
-  EXPECT_EQ(p.flit_bytes, 8u);
-  EXPECT_EQ(p.max_worm_bytes, 128u);
   p.validate();  // must not abort
+}
+
+TEST(SystemParams, PaperTimingsAreConstants) {
+  // Section 5's fixed delays: one timing model, not a campaign axis.
+  EXPECT_EQ(SystemParams::kNicCycle, 10_ns);
+  EXPECT_EQ(SystemParams::kDigitalSwitchHop, 10_ns);
+  EXPECT_EQ(SystemParams::kPassiveSwitchHop, 0_ns);
+  EXPECT_EQ(SystemParams::kSchedulerLatency, 80_ns);
+  EXPECT_EQ(SystemParams::kMaxWormBytes, 128u);
+}
+
+TEST(SystemParams, RecoveryAndReoptTuningAreConstants) {
+  EXPECT_EQ(FaultParams::kRetransmitTimeout, 500_ns);
+  EXPECT_EQ(AdmissionParams::kDeadline, 5'000_ns);
+  EXPECT_EQ(ReoptParams::kMinGain, 64u);
+  EXPECT_EQ(ReoptParams::kProbationSlots, 32u);
+  EXPECT_EQ(ReoptParams::kGuardThresholdPct, 50u);
 }
 
 TEST(SystemParams, DerivedQuantities) {
@@ -49,10 +63,6 @@ TEST(SystemParamsDeathTest, ValidateCatchesBadValues) {
   p = SystemParams{};
   p.mux_degree = 0;
   EXPECT_DEATH(p.validate(), "multiplexing degree");
-
-  p = SystemParams{};
-  p.max_worm_bytes = 4;  // smaller than a flit
-  EXPECT_DEATH(p.validate(), "worm limit");
 }
 
 }  // namespace

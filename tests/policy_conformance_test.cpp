@@ -53,6 +53,14 @@ std::string read_golden(const std::string& id) {
 class PolicyConformance
     : public ::testing::TestWithParam<golden::Scenario> {};
 
+TEST(PolicyConformanceNames, ScenarioPrintsAsItsId) {
+  // The listed test names carry the printed parameter; it must not depend
+  // on where the scenario's strings happen to live in memory.
+  for (const golden::Scenario& s : golden::conformance_scenarios()) {
+    EXPECT_EQ(::testing::PrintToString(s), s.id);
+  }
+}
+
 TEST_P(PolicyConformance, MatchesPreRefactorGolden) {
   const golden::Scenario& s = GetParam();
   RunConfig config;
