@@ -1,5 +1,6 @@
 #include "control/reopt_service.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -21,8 +22,11 @@ ReoptService::ReoptService(Simulator& sim, ControlFaultModel* ctrl,
                            TimeNs wire_latency, TimeNs scheduler_latency,
                            Hooks hooks)
     : sim_(sim),
+      ctrl_(ctrl),
       params_(params),
       num_slots_(num_slots),
+      slot_length_(slot_length),
+      wire_(wire_latency),
       scheduler_latency_(scheduler_latency),
       hooks_(std::move(hooks)),
       estimator_(num_nodes, params.ewma_shift),
@@ -40,8 +44,9 @@ ReoptService::ReoptService(Simulator& sim, ControlFaultModel* ctrl,
             "re-optimization needs at least two configuration registers "
             "(one always stays with the reactive scheduler)");
   params_.validate();
-  applier_ = std::make_unique<ReconfigApplier>(
-      sim, ctrl, slot_length, wire_latency, hooks_.applier, stats_);
+  PMX_CHECK(hooks_.apply && hooks_.capture && hooks_.delivered_bytes &&
+                hooks_.violations && hooks_.visit_queues,
+            "reopt service needs all five hooks");
 }
 
 void ReoptService::start() { clock_.start(); }
@@ -53,20 +58,17 @@ void ReoptService::on_tick() {
   // the EWMA. The backlog total also arms the probation guard's starvation
   // floor below.
   std::uint64_t queued = 0;
-  if (hooks_.visit_queues) {
-    hooks_.visit_queues(
-        [this, &queued](NodeId u, NodeId v, std::uint64_t bytes) {
-          queued += bytes;
-          estimator_.observe(u, v, bytes);
-        });
-  }
+  hooks_.visit_queues([this, &queued](NodeId u, NodeId v, std::uint64_t bytes) {
+    queued += bytes;
+    estimator_.observe(u, v, bytes);
+  });
   estimator_.roll();
 
-  const std::uint64_t delivered = hooks_.applier.delivered_bytes();
+  const std::uint64_t delivered = hooks_.delivered_bytes();
   last_window_bytes_ = delivered - bytes_at_last_tick_;
   bytes_at_last_tick_ = delivered;
 
-  if (!applier_->idle()) {
+  if (state_ != State::kIdle) {
     // Bounded disruption: at most one reconfiguration in flight. The next
     // window's solve sees fresher demand anyway.
     return;
@@ -77,7 +79,7 @@ void ReoptService::on_tick() {
     return;
   }
   ++stats_.solves;
-  const std::vector<BitMatrix> current = hooks_.applier.capture();
+  const std::vector<BitMatrix> current = hooks_.capture();
   SlotOptimizer::Proposal proposal = optimizer_.solve(demand, current);
   const TimeNs stage_latency =
       scheduler_latency_ *
@@ -114,8 +116,95 @@ void ReoptService::on_tick() {
     proposal.tables.resize(num_slots_, BitMatrix(estimator_.num_nodes()));
   }
 
-  applier_->stage(std::move(proposal), stage_latency, last_window_bytes_,
-                  period(), queued, chaos);
+  stage(std::move(proposal), stage_latency, queued, chaos);
+}
+
+void ReoptService::stage(SlotOptimizer::Proposal proposal,
+                         TimeNs stage_latency, std::uint64_t queued_bytes,
+                         bool chaos) {
+  PMX_CHECK(state_ == State::kIdle, "staging while a reconfig is in flight");
+  staged_ = std::move(proposal);
+  stage_time_ = sim_.now();
+  ++stats_.proposals;
+  if (chaos) {
+    ++stats_.chaos_proposals;
+  }
+  // Probation guard baseline: scale the last service window's goodput to
+  // the probation length. Integral throughout; a truly idle baseline (zero
+  // bytes delivered AND zero bytes queued) disarms the goodput guard for
+  // this apply -- reconfiguring an idle fabric cannot dip what is not
+  // flowing. A starved fabric is different: when traffic is queued but the
+  // last window delivered nothing, the guard stays armed at a one-byte
+  // floor so a probation that still moves nothing rolls back. Without the
+  // floor, one wedged window would disarm the guard for the next apply and
+  // a catastrophic table could pin itself in forever.
+  const TimeNs probation =
+      slot_length_ * static_cast<std::int64_t>(ReoptParams::kProbationSlots);
+  const TimeNs window = clock_.period();
+  expected_probation_bytes_ = 0;
+  if (window > TimeNs::zero()) {
+    expected_probation_bytes_ = last_window_bytes_ *
+                                static_cast<std::uint64_t>(probation.ns()) /
+                                static_cast<std::uint64_t>(window.ns());
+  }
+  if (expected_probation_bytes_ == 0 && queued_bytes > 0) {
+    expected_probation_bytes_ = 1;
+  }
+
+  state_ = State::kStaged;
+  const std::uint64_t gen = ++gen_;
+  // The apply command rides the same control channel as every other
+  // control message: a lost command is a skipped reconfiguration, retried
+  // naturally at the next service tick.
+  if (!send_control(sim_, ctrl_, CtrlMsg::kReconfig, stage_latency + wire_,
+                    [this, gen] { on_command_arrival(gen); })) {
+    ++stats_.cmds_lost;
+    state_ = State::kIdle;
+  }
+}
+
+void ReoptService::on_command_arrival(std::uint64_t gen) {
+  if (gen != gen_ || state_ != State::kStaged) {
+    return;
+  }
+  stashed_ = hooks_.capture();
+  apply_time_ = sim_.now();
+  stats_.invalidated_ctrl += hooks_.apply(staged_.tables, /*pinned=*/true);
+  ++stats_.applies;
+  stats_.apply_latency_ns.push_back((apply_time_ - stage_time_).ns());
+  bytes_at_apply_ = hooks_.delivered_bytes();
+  violations_at_apply_ = hooks_.violations();
+  state_ = State::kProbation;
+  const TimeNs probation =
+      slot_length_ * static_cast<std::int64_t>(ReoptParams::kProbationSlots);
+  sim_.schedule_after(probation, [this, gen] { on_probation_end(gen); });
+}
+
+void ReoptService::on_probation_end(std::uint64_t gen) {
+  if (gen != gen_ || state_ != State::kProbation) {
+    return;
+  }
+  const std::uint64_t delivered = hooks_.delivered_bytes() - bytes_at_apply_;
+  const bool violated = hooks_.violations() > violations_at_apply_;
+  // Goodput guard: delivered * 100 < expected * pct, all integral.
+  const bool dipped =
+      delivered * 100 <
+      expected_probation_bytes_ * ReoptParams::kGuardThresholdPct;
+  if (violated || dipped) {
+    // Roll back to the stashed pre-apply tables, unpinned: the reactive
+    // path owns every slot again until the next solve earns trust. The
+    // rollback command uses the lossless maintenance channel (like the A7
+    // resync itself) -- an un-revertable bad table would be a wedge.
+    stats_.invalidated_ctrl += hooks_.apply(stashed_, /*pinned=*/false);
+    ++stats_.rollbacks;
+    if (expected_probation_bytes_ > delivered) {
+      stats_.dip_depth_bytes = std::max(stats_.dip_depth_bytes,
+                                        expected_probation_bytes_ - delivered);
+    }
+    stats_.dip_duration_ns += (sim_.now() - apply_time_).ns();
+  }
+  state_ = State::kIdle;
+  ++gen_;
 }
 
 }  // namespace pmx

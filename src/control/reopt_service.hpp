@@ -2,22 +2,41 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/bitmatrix.hpp"
 #include "common/time.hpp"
 #include "control/demand_estimator.hpp"
-#include "control/reconfig_applier.hpp"
 #include "control/reopt_params.hpp"
 #include "control/slot_optimizer.hpp"
+#include "fault/control_fault.hpp"
 #include "sim/clock.hpp"
 #include "sim/simulator.hpp"
 
 namespace pmx {
 
+/// Disruption ledger of the re-optimization loop, surfaced via RunMetrics.
+/// All accounting is integral; percentiles are computed at metrics time.
+struct ReoptStats {
+  std::uint64_t solves = 0;            ///< service ticks that ran the solver
+  std::uint64_t proposals = 0;         ///< proposals staged (incl. chaos)
+  std::uint64_t chaos_proposals = 0;   ///< chaos-hook poison proposals
+  std::uint64_t cmds_lost = 0;         ///< reconfig commands lost in transit
+  std::uint64_t applies = 0;           ///< proposals applied to the fabric
+  std::uint64_t rollbacks = 0;         ///< applies reverted by the guard
+  std::uint64_t invalidated_ctrl = 0;  ///< in-flight ctrl msgs invalidated
+                                       ///< by apply/rollback resyncs
+  /// Stage-to-apply latency of every applied proposal, in ns.
+  std::vector<std::int64_t> apply_latency_ns;
+  /// Worst probation shortfall: baseline-expected bytes minus bytes
+  /// actually delivered, over the probations that rolled back.
+  std::uint64_t dip_depth_bytes = 0;
+  /// Total time spent inside probation windows that ended in rollback.
+  std::int64_t dip_duration_ns = 0;
+};
+
 /// The online slot-table re-optimization service loop (DESIGN.md §14):
-/// DemandEstimator -> SlotOptimizer -> ReconfigApplier on one periodic
+/// DemandEstimator -> SlotOptimizer -> epoch-safe apply on one periodic
 /// clock. Owned by a network paradigm, which supplies the fabric hooks; the
 /// service itself never touches NIC or scheduler types directly, keeping
 /// control/ below nic/ in the layer DAG.
@@ -25,21 +44,40 @@ namespace pmx {
 /// Every tick: fold VOQ occupancy into the demand window, roll the EWMA,
 /// and -- when no reconfiguration is already in flight -- solve for new
 /// tables and stage them if they beat the live tables by the hysteresis
-/// margin. The staged command crosses the (possibly lossy) control channel;
-/// the applier watches a probation window and rolls back on goodput dips
-/// or auditor violations.
+/// margin.
+///
+/// Apply state machine: Idle -> Staged (reconfig command in flight on the
+/// control channel) -> Probation (new tables live, goodput and auditor
+/// watched) -> Idle, either by commit or by rollback to the stashed
+/// pre-apply tables. At most one proposal is ever in flight, which bounds
+/// disruption to one reconfiguration per probation window.
+///
+/// The apply hook installs the tables, drains/re-credits in-flight state
+/// through the A7 resync path (ControlPlane epoch bump), and returns how
+/// many in-flight control messages the epoch bump invalidated. Rollback
+/// reuses the same hook with the stashed tables, unpinned, so the reactive
+/// path owns every slot again after a failed reconfiguration.
 class ReoptService {
  public:
   struct Hooks {
-    ReconfigApplier::Hooks applier;
+    /// Install `tables` (pin when `pinned`), resync in-flight state, and
+    /// return the number of invalidated in-flight control messages.
+    std::function<std::uint64_t(const std::vector<BitMatrix>&, bool pinned)>
+        apply;
+    /// Live configuration registers (stashed for rollback).
+    std::function<std::vector<BitMatrix>()> capture;
+    /// Monotonic count of payload bytes delivered so far.
+    std::function<std::uint64_t()> delivered_bytes;
+    /// Monotonic count of auditor violations so far (0 when no auditor).
+    std::function<std::uint64_t()> violations;
     /// Walk the current VOQ backlog: call the visitor once per (src, dst)
-    /// pair with queued bytes. May be empty when occupancy folding is off.
+    /// pair with queued bytes.
     std::function<void(
         const std::function<void(NodeId, NodeId, std::uint64_t)>&)>
         visit_queues;
   };
 
-  /// `ctrl` may be null (lossless maintenance channel).
+  /// `ctrl` may be null: reconfig commands then cross a lossless wire.
   ReoptService(Simulator& sim, ControlFaultModel* ctrl,
                const ReoptParams& params, std::size_t num_nodes,
                std::size_t num_slots, TimeNs slot_length, TimeNs wire_latency,
@@ -55,26 +93,51 @@ class ReoptService {
   }
 
   [[nodiscard]] const ReoptStats& stats() const { return stats_; }
-  [[nodiscard]] const DemandEstimator& estimator() const { return estimator_; }
-  [[nodiscard]] const ReconfigApplier& applier() const { return *applier_; }
-  [[nodiscard]] TimeNs period() const { return clock_.period(); }
 
  private:
+  enum class State : std::uint8_t { kIdle, kStaged, kProbation };
+
   void on_tick();
+  /// Stage one proposal: the reconfig command crosses the control channel
+  /// after `stage_latency` (the budgeted solve cost) plus the wire. A lost
+  /// command is counted and the service returns to Idle. `queued_bytes` is
+  /// the VOQ backlog at stage time, which keeps the probation guard armed
+  /// even when the last window delivered nothing (a starved fabric is not
+  /// an idle one). `chaos` marks a poison proposal.
+  void stage(SlotOptimizer::Proposal proposal, TimeNs stage_latency,
+             std::uint64_t queued_bytes, bool chaos);
+  void on_command_arrival(std::uint64_t gen);
+  void on_probation_end(std::uint64_t gen);
 
   Simulator& sim_;
+  ControlFaultModel* ctrl_;
   ReoptParams params_;
   std::size_t num_slots_;  ///< K registers; the optimizer plans over K-1
+  TimeNs slot_length_;
+  TimeNs wire_;
   TimeNs scheduler_latency_;
   Hooks hooks_;
   ReoptStats stats_;
   DemandEstimator estimator_;
   SlotOptimizer optimizer_;
-  std::unique_ptr<ReconfigApplier> applier_;
   Clock clock_;
   std::uint64_t bytes_at_last_tick_ = 0;
   std::uint64_t last_window_bytes_ = 0;
   std::uint64_t proposal_counter_ = 0;  ///< chaos-hook cadence
+
+  // --- Apply state machine ------------------------------------------------
+  State state_ = State::kIdle;
+  /// Generation guard for the in-flight command / probation-end events;
+  /// bumped whenever the state machine resets, mirroring the ControlPlane
+  /// epoch pattern (equality-compared, so wraparound is harmless).
+  std::uint64_t gen_ = 0;
+  SlotOptimizer::Proposal staged_;
+  std::vector<BitMatrix> stashed_;     ///< pre-apply tables for rollback
+  TimeNs stage_time_{};
+  std::uint64_t expected_probation_bytes_ = 0;
+  TimeNs apply_time_{};
+  std::uint64_t bytes_at_apply_ = 0;
+  std::uint64_t violations_at_apply_ = 0;
 };
 
 }  // namespace pmx

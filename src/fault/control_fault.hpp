@@ -154,4 +154,12 @@ class ControlFaultModel {
   std::array<std::size_t, kNumCtrlMsgKinds> forced_delays_{};
 };
 
+/// Send one control message of `kind`. With no lossy channel (`ctrl` null)
+/// the wire is lossless: `deliver` runs after `latency` and this returns
+/// true. Otherwise the message goes through ControlFaultModel::send. Every
+/// control exchange (circuit request/grant/release, reconfig commands) is
+/// written once against this call, whichever channel carries it.
+bool send_control(Simulator& sim, ControlFaultModel* ctrl, CtrlMsg kind,
+                  TimeNs latency, EventFn deliver);
+
 }  // namespace pmx

@@ -272,7 +272,7 @@ std::optional<std::size_t> TdmScheduler::advance_slot() {
   const std::size_t start = current_slot_ ? (*current_slot_ + 1) % k_ : 0;
   for (std::size_t i = 0; i < k_; ++i) {
     const std::size_t s = (start + i) % k_;
-    const bool live = skip_unrequested_ ? (slots_[s] & requests_).any()
+    const bool live = skip_unrequested_ ? slots_[s].intersects(requests_)
                                         : slots_[s].any();
     if (live) {
       current_slot_ = s;

@@ -114,7 +114,7 @@ void CircuitNetwork::start_next_message(NodeId src_id) {
   src.fifo_bytes -= src.active.bytes;
 
   if (src.held_circuit == src.active.dst) {
-    if (control_faulty() && outputs_[src.active.dst].holder != src_id) {
+    if (outputs_[src.active.dst].holder != src_id) {
       // The NIC believes it still holds this pipe, but the scheduler's
       // lease already reclaimed it (the revoke notice was lost). Driving
       // data into an unconnected fabric would lose it silently; fall back
@@ -124,9 +124,7 @@ void CircuitNetwork::start_next_message(NodeId src_id) {
     } else {
       // Circuit reuse: the pipe is already up; skip establishment entirely.
       counters().counter("circuit_reuses") += 1;
-      if (control_faulty()) {
-        outputs_[src.active.dst].last_activity = sim_.now();
-      }
+      outputs_[src.active.dst].last_activity = sim_.now();
       sim_.schedule_after(SystemParams::kNicCycle,
                           [this, src_id] { transmit(src_id); });
       return;
@@ -140,38 +138,15 @@ void CircuitNetwork::start_next_message(NodeId src_id) {
     src.held_circuit.reset();
     schedule_release(old_out);
   }
-  if (control_faulty()) {
-    src.waiting_grant = true;
-    src.attempts = 1;
-    // NIC cycle, then the request crosses the lossy control wire.
-    send_request(src_id, src.active.dst,
-                 SystemParams::kNicCycle + params_.control_wire_latency());
-    if (params_.ctrl.heal) {
-      arm_watchdog(src_id);
-    }
-    return;
-  }
+  src.waiting_grant = true;
+  src.attempts = 1;
   // NIC cycle, then the request crosses the control wire to the scheduler.
-  sim_.schedule_after(SystemParams::kNicCycle + params_.control_wire_latency(),
-                      [this, src_id] { request_arrived(src_id); });
+  send_request(src_id, src.active.dst,
+               SystemParams::kNicCycle + params_.control_wire_latency());
+  arm_watchdog(src_id);
 }
 
-void CircuitNetwork::request_arrived(NodeId src_id) {
-  SourceState& src = sources_[src_id];
-  OutputState& out = outputs_[src.active.dst];
-  const FaultModel* fm = fault_model();
-  const bool dst_down = fm != nullptr && !fm->link_up(src.active.dst);
-  if (out.busy || dst_down) {
-    // Busy output or dead destination cable: queue FIFO at the scheduler.
-    if (enqueue_waiter(src.active.dst, src_id)) {
-      counters().counter("circuit_waits") += 1;
-    }
-    return;
-  }
-  grant_to(src.active.dst, src_id);
-}
-
-void CircuitNetwork::request_arrived_ctrl(NodeId src_id, NodeId dst) {
+void CircuitNetwork::request_arrived(NodeId src_id, NodeId dst) {
   SourceState& src = sources_[src_id];
   if (!src.busy || !src.waiting_grant || src.active.dst != dst) {
     // Delayed duplicate of a request already served (the source has moved
@@ -191,6 +166,7 @@ void CircuitNetwork::request_arrived_ctrl(NodeId src_id, NodeId dst) {
   const FaultModel* fm = fault_model();
   const bool dst_down = fm != nullptr && !fm->link_up(dst);
   if (out.busy || dst_down) {
+    // Busy output or dead destination cable: queue FIFO at the scheduler.
     if (enqueue_waiter(dst, src_id)) {
       counters().counter("circuit_waits") += 1;
     }
@@ -202,30 +178,18 @@ void CircuitNetwork::request_arrived_ctrl(NodeId src_id, NodeId dst) {
 void CircuitNetwork::grant_to(NodeId out_id, NodeId src_id) {
   OutputState& out = outputs_[out_id];
   out.busy = true;
-  if (control_faulty()) {
-    out.holder = src_id;
-    out.last_activity = sim_.now();
-    arm_lease(out_id);
-  }
-  grant_circuit(src_id);
-}
-
-void CircuitNetwork::grant_circuit(NodeId src_id) {
+  out.holder = src_id;
+  out.last_activity = sim_.now();
+  arm_lease(out_id);
   counters().counter("circuits_established") += 1;
-  if (control_faulty()) {
-    send_grant_msg(src_id, sources_[src_id].active.dst);
-    return;
-  }
-  // 80 ns to schedule, 80 ns for the grant to reach the NIC.
-  sim_.schedule_after(
-      SystemParams::kSchedulerLatency + params_.control_wire_latency(),
-      [this, src_id] { transmit(src_id); });
+  send_grant_msg(src_id, out_id);
 }
 
 void CircuitNetwork::send_request(NodeId src_id, NodeId dst, TimeNs latency) {
   SourceState& src = sources_[src_id];
-  const bool scheduled = control_fault()->send(
-      CtrlMsg::kRequest, latency, [this, src_id, dst, ep = ctrl_epoch_] {
+  const bool scheduled = send_control(
+      sim_, control_fault(), CtrlMsg::kRequest, latency,
+      [this, src_id, dst, ep = ctrl_epoch_] {
         if (ep != ctrl_epoch_) {
           counters().counter("ctrl_stale") += 1;
           return;
@@ -234,7 +198,7 @@ void CircuitNetwork::send_request(NodeId src_id, NodeId dst, TimeNs latency) {
         if (s.pending_request > 0) {
           --s.pending_request;
         }
-        request_arrived_ctrl(src_id, dst);
+        request_arrived(src_id, dst);
       });
   if (scheduled) {
     ++src.pending_request;
@@ -243,8 +207,9 @@ void CircuitNetwork::send_request(NodeId src_id, NodeId dst, TimeNs latency) {
 
 void CircuitNetwork::send_grant_msg(NodeId src_id, NodeId dst) {
   SourceState& src = sources_[src_id];
-  const bool scheduled = control_fault()->send(
-      CtrlMsg::kGrant,
+  // 80 ns to schedule, 80 ns for the grant to reach the NIC.
+  const bool scheduled = send_control(
+      sim_, control_fault(), CtrlMsg::kGrant,
       SystemParams::kSchedulerLatency + params_.control_wire_latency(),
       [this, src_id, dst, ep = ctrl_epoch_] {
         if (ep != ctrl_epoch_) {
@@ -280,9 +245,13 @@ void CircuitNetwork::grant_arrived(NodeId src_id, NodeId dst) {
 }
 
 void CircuitNetwork::arm_watchdog(NodeId src_id) {
+  const ControlFaultModel* cf = control_fault();
+  if (cf == nullptr || !params_.ctrl.heal) {
+    return;  // a lossless wire loses no request: nothing to reissue
+  }
   SourceState& src = sources_[src_id];
   src.watchdog = sim_.schedule_after(
-      control_fault()->watchdog_delay(src.attempts),
+      cf->watchdog_delay(src.attempts),
       [this, src_id, ep = ctrl_epoch_] {
         if (ep != ctrl_epoch_) {
           return;
@@ -307,9 +276,10 @@ void CircuitNetwork::on_watchdog(NodeId src_id) {
 }
 
 void CircuitNetwork::arm_lease(NodeId out_id) {
-  ControlFaultModel* cf = control_fault();
-  if (!params_.ctrl.heal || cf->params().lease <= TimeNs::zero()) {
-    return;
+  const ControlFaultModel* cf = control_fault();
+  if (cf == nullptr || !params_.ctrl.heal ||
+      cf->params().lease <= TimeNs::zero()) {
+    return;  // a lossless wire loses no teardown: nothing to reclaim
   }
   OutputState& out = outputs_[out_id];
   const std::uint64_t seq = ++out.lease_seq;
@@ -346,15 +316,15 @@ void CircuitNetwork::lease_check(NodeId out_id, std::uint64_t seq) {
   counters().counter("lease_expiries") += 1;
   if (out.holder.has_value()) {
     const NodeId holder = *out.holder;
-    cf->send(CtrlMsg::kGrant, params_.control_wire_latency(),
-             [this, holder, out_id, ep = ctrl_epoch_] {
-               if (ep != ctrl_epoch_) {
-                 return;
-               }
-               if (sources_[holder].held_circuit == out_id) {
-                 sources_[holder].held_circuit.reset();
-               }
-             });
+    send_control(sim_, cf, CtrlMsg::kGrant, params_.control_wire_latency(),
+                 [this, holder, out_id, ep = ctrl_epoch_] {
+                   if (ep != ctrl_epoch_) {
+                     return;
+                   }
+                   if (sources_[holder].held_circuit == out_id) {
+                     sources_[holder].held_circuit.reset();
+                   }
+                 });
   }
   free_output(out_id);
 }
@@ -380,9 +350,7 @@ void CircuitNetwork::send_complete(NodeId src_id) {
       fm == nullptr || (fm->link_up(src_id) && fm->link_up(msg.dst));
   if (options_.hold_circuits && pipe_alive) {
     src.held_circuit = msg.dst;
-    if (control_faulty()) {
-      outputs_[msg.dst].last_activity = sim_.now();
-    }
+    outputs_[msg.dst].last_activity = sim_.now();
   } else {
     // Teardown notice crosses the control wire; the output frees then.
     schedule_release(msg.dst);
@@ -391,15 +359,9 @@ void CircuitNetwork::send_complete(NodeId src_id) {
 }
 
 void CircuitNetwork::schedule_release(NodeId out_id) {
-  ControlFaultModel* cf = control_fault();
-  if (cf == nullptr) {
-    sim_.schedule_after(params_.control_wire_latency(),
-                        [this, out_id] { release_output(out_id); });
-    return;
-  }
   OutputState& out = outputs_[out_id];
-  const bool scheduled = cf->send(
-      CtrlMsg::kRelease, params_.control_wire_latency(),
+  const bool scheduled = send_control(
+      sim_, control_fault(), CtrlMsg::kRelease, params_.control_wire_latency(),
       [this, out_id, ep = ctrl_epoch_] {
         if (ep != ctrl_epoch_) {
           counters().counter("ctrl_stale") += 1;
@@ -567,9 +529,7 @@ void CircuitNetwork::resync_control() {
     } else {
       grant_to(dst, u);
     }
-    if (params_.ctrl.heal) {
-      arm_watchdog(u);
-    }
+    arm_watchdog(u);
   }
 }
 

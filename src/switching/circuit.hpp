@@ -21,6 +21,11 @@ namespace pmx {
 ///    granted when the holder's circuit is torn down (teardown notice costs
 ///    one more 80 ns control-wire delay).
 ///
+/// The request/grant/release exchange is written once against
+/// send_control(): with no lossy control channel every message arrives
+/// after its wire latency; with one (A7) each message may be dropped or
+/// delayed, and the grant watchdog and the idle-hold lease heal the losses.
+///
 /// `hold_circuits` keeps a circuit up after its message completes and reuses
 /// it if the very next message from that source has the same destination --
 /// the "established connections are repeatedly used" regime of Section 1.
@@ -62,19 +67,18 @@ class CircuitNetwork final : public Network {
     std::optional<NodeId> held_circuit;
     /// Head message waits for this NIC's own dead cable to be repaired.
     bool waiting_repair = false;
-    // --- Lossy control channel only ---------------------------------------
     /// Request sent, grant not yet received (the NIC is blocked on it).
     bool waiting_grant = false;
-    std::size_t attempts = 1;            ///< watchdog backoff level
-    EventId watchdog = 0;                ///< 0 = unarmed
     std::uint32_t pending_request = 0;   ///< request messages in flight
     std::uint32_t pending_grant = 0;     ///< grant messages in flight
+    // --- Lossy control channel only ---------------------------------------
+    std::size_t attempts = 1;            ///< watchdog backoff level
+    EventId watchdog = 0;                ///< 0 = unarmed
   };
 
   struct OutputState {
     bool busy = false;
     std::deque<NodeId> waiters;
-    // --- Lossy control channel only ---------------------------------------
     /// Source the scheduler granted this output to (its lease subject).
     std::optional<NodeId> holder;
     TimeNs last_activity{};              ///< backs the idle-hold lease
@@ -83,18 +87,14 @@ class CircuitNetwork final : public Network {
   };
 
   void start_next_message(NodeId src);
-  /// Request reaches the scheduler (lossless control wire).
-  void request_arrived(NodeId src);
-  /// Lossy-channel variant: `dst` is the destination the request was sent
-  /// for, so a delayed duplicate cannot grab an output the source no longer
-  /// wants.
-  void request_arrived_ctrl(NodeId src, NodeId dst);
-  /// Allocate output `out` to `src` (sets the holder/lease under the lossy
-  /// channel) and send the grant.
+  /// Request reaches the scheduler. `dst` is the destination the request
+  /// was sent for, so a delayed duplicate cannot grab an output the source
+  /// no longer wants.
+  void request_arrived(NodeId src, NodeId dst);
+  /// Allocate output `out` to `src` (holder, lease under the lossy channel)
+  /// and send the grant back to the NIC.
   void grant_to(NodeId out, NodeId src);
-  /// Scheduler granted the circuit; grant is on its way back to the NIC.
-  void grant_circuit(NodeId src);
-  /// Grant arrived; transmit the message over the dedicated pipe.
+  /// Transmit the message over the dedicated pipe.
   void transmit(NodeId src);
   /// Source finished transmitting; tear down or hold the circuit.
   void send_complete(NodeId src);
@@ -111,16 +111,17 @@ class CircuitNetwork final : public Network {
   /// change that breaks that bound into a loud failure instead of silent
   /// queue growth.
   bool enqueue_waiter(NodeId out, NodeId src);
-  /// Route a teardown notice over the (possibly lossy) control wire.
+  /// Route a teardown notice over the control wire.
   void schedule_release(NodeId out);
   /// Fault reaction: poison in-flight transfers, drop held circuits on the
   /// dead link, resume stalled sources/waiters on repair.
   void on_link_change(NodeId node, bool up);
-
-  // --- Lossy control channel only -----------------------------------------
   void send_request(NodeId src, NodeId dst, TimeNs latency);
   void send_grant_msg(NodeId src, NodeId dst);
+  /// Grant reached the NIC: stop the watchdog and transmit.
   void grant_arrived(NodeId src, NodeId dst);
+
+  // --- Lossy control channel only (no-ops without one) --------------------
   void arm_watchdog(NodeId src);
   void on_watchdog(NodeId src);
   /// Arm (or re-arm) the idle-hold lease on output `out`.

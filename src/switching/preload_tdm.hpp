@@ -31,15 +31,6 @@ class PreloadTdmNetwork final : public TdmFabricNetwork {
 
   [[nodiscard]] std::size_t current_phase() const { return phase_; }
 
-  /// The EWMA demand estimator driving configuration load ranking, when
-  /// params.reopt.enabled(). Preloaded plans are immutable (the compiler
-  /// owns the tables), so this paradigm uses the service loop's estimator
-  /// stage only: pending configurations are ranked by smoothed measured
-  /// demand instead of instantaneous head-of-line bytes.
-  [[nodiscard]] const DemandEstimator* demand_estimator() const {
-    return demand_.get();
-  }
-
  protected:
   void do_submit(const Message& msg) override;
   /// A retransmitted copy re-enters the NIC: its bytes are re-credited to
@@ -83,8 +74,11 @@ class PreloadTdmNetwork final : public TdmFabricNetwork {
   /// Consecutive slots with queued traffic but no transmission.
   std::uint64_t stall_slots_ = 0;
 
-  /// Estimator stage of the re-optimization service (load ranking only);
-  /// nullptr when params.reopt is disabled.
+  /// Estimator stage of the re-optimization service; nullptr when
+  /// params.reopt is disabled. Preloaded plans are immutable (the compiler
+  /// owns the tables), so this paradigm uses the estimator stage only:
+  /// pending configurations are ranked by smoothed measured demand instead
+  /// of instantaneous head-of-line bytes.
   std::unique_ptr<DemandEstimator> demand_;
   std::unique_ptr<Clock> demand_clock_;
 

@@ -37,11 +37,10 @@ TdmNetwork::TdmNetwork(Simulator& sim, const SystemParams& params,
   }
   if (params.reopt.enabled()) {
     ReoptService::Hooks hooks;
-    hooks.applier.apply = [this](const std::vector<BitMatrix>& tables,
-                                 bool pinned) {
+    hooks.apply = [this](const std::vector<BitMatrix>& tables, bool pinned) {
       return apply_reopt(tables, pinned);
     };
-    hooks.applier.capture = [this] {
+    hooks.capture = [this] {
       std::vector<BitMatrix> tables;
       tables.reserve(sched_.num_slots());
       for (std::size_t s = 0; s < sched_.num_slots(); ++s) {
@@ -49,8 +48,8 @@ TdmNetwork::TdmNetwork(Simulator& sim, const SystemParams& params,
       }
       return tables;
     };
-    hooks.applier.delivered_bytes = [this] { return delivered_bytes(); };
-    hooks.applier.violations = [this]() -> std::uint64_t {
+    hooks.delivered_bytes = [this] { return delivered_bytes(); };
+    hooks.violations = [this]() -> std::uint64_t {
       return auditor() ? auditor()->stats().violations : 0;
     };
     hooks.visit_queues =

@@ -64,8 +64,6 @@ class TdmNetwork : public TdmFabricNetwork {
 
   [[nodiscard]] const PolicyEngine& predictor() const { return *predictor_; }
 
-  /// The online re-optimization service, when params.reopt.enabled().
-  [[nodiscard]] const ReoptService* reopt() const { return reopt_.get(); }
   [[nodiscard]] const ReoptStats* reopt_stats() const override {
     return reopt_ ? &reopt_->stats() : nullptr;
   }

@@ -115,6 +115,11 @@ TEST(BitMatrix, AndMasking) {
   a.set(2, 2);
   b.set(1, 1);
   EXPECT_EQ((a & b).count(), 1u);
+  EXPECT_TRUE(a.intersects(b));
+  b.set(1, 1, false);
+  b.set(2, 1);  // same row as a's (2, 2), different column
+  EXPECT_FALSE(a.intersects(b));
+  EXPECT_FALSE(BitMatrix(4).intersects(a));
 }
 
 TEST(BitMatrix, SetRowReplacesRow) {

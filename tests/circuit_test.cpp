@@ -1,8 +1,13 @@
 #include "switching/circuit.hpp"
 
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
+#include "core/experiment.hpp"
 #include "sim/simulator.hpp"
+#include "traffic/patterns.hpp"
 
 namespace pmx {
 namespace {
@@ -166,6 +171,40 @@ TEST(Circuit, RetransmittedRequestKeepsSingleWaiterSlot) {
   EXPECT_EQ(net.delivered_count(), 2u);
   EXPECT_EQ(net.counters().value("circuit_waits"), 1u);
   EXPECT_GE(net.counters().value("ctrl_rerequests"), 1u);
+}
+
+TEST(Circuit, ZeroLossChannelMatchesLosslessWire) {
+  // The request/grant/release handshake is one code path whichever channel
+  // carries it. A force-enabled channel with every rate zero loses and
+  // delays nothing, so each run must match the no-channel run in every
+  // metric except the channel's own message count and the watchdog's
+  // reissues for requests parked at a busy output.
+  const std::pair<const char*, Workload> workloads[] = {
+      {"random-mesh", patterns::random_mesh(16, 256)},
+      {"scatter", patterns::scatter(16, 256)},
+      {"two-phase", patterns::two_phase(16, 256)},
+  };
+  for (const auto& [name, workload] : workloads) {
+    for (const bool hold : {false, true}) {
+      SCOPED_TRACE(std::string(name) + (hold ? " held" : " unheld"));
+      RunConfig config;
+      config.kind = SwitchKind::kCircuit;
+      config.params.num_nodes = 16;
+      config.hold_circuits = hold;
+      const RunResult wire = run_workload(config, workload);
+      config.params.ctrl.force_enable = true;
+      const RunResult channel = run_workload(config, workload);
+      ASSERT_TRUE(wire.completed);
+      ASSERT_TRUE(channel.completed);
+      EXPECT_EQ(wire.metrics.ctrl_messages, 0u);
+      EXPECT_GT(channel.metrics.ctrl_messages, 0u);
+      EXPECT_EQ(channel.metrics.ctrl_dropped, 0u);
+      RunMetrics masked = channel.metrics;
+      masked.ctrl_messages = wire.metrics.ctrl_messages;
+      masked.ctrl_rerequests = wire.metrics.ctrl_rerequests;
+      EXPECT_TRUE(masked == wire.metrics);
+    }
+  }
 }
 
 }  // namespace

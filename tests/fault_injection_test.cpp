@@ -161,6 +161,13 @@ TEST(FaultInjection, CircuitHealsAcrossLinkOutage) {
   EXPECT_EQ(net.delivered_count(), 3u);
   EXPECT_EQ(net.dropped_messages(), 0u);
   EXPECT_EQ(net.outstanding_reliable(), 0u);
+  // With no lossy control channel nothing is ever stale or duplicated: a
+  // source holding a circuit is always the output's recorded holder, which
+  // is what lets the stale-hold check run on the lossless wire too.
+  EXPECT_EQ(net.counters().value("stale_holds"), 0u);
+  EXPECT_EQ(net.counters().value("stale_releases"), 0u);
+  EXPECT_EQ(net.counters().value("duplicate_requests"), 0u);
+  EXPECT_EQ(net.counters().value("duplicate_grants"), 0u);
 }
 
 TEST(FaultInjection, DynamicTdmMasksAndReestablishes) {

@@ -15,6 +15,8 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -172,6 +174,16 @@ struct DifferentialCase {
   std::string policy_token;
   std::int64_t idle_ttl_ns = 0;  ///< engine valve (capacity policies)
 };
+
+/// gtest printer (found by argument-dependent lookup): prints the policy
+/// token and the valve, so the listed test names are stable across builds
+/// (the default byte dump would embed the std::string's heap pointer).
+void PrintTo(const DifferentialCase& c, std::ostream* os) {
+  *os << c.policy_token;
+  if (c.idle_ttl_ns > 0) {
+    *os << " ttl " << c.idle_ttl_ns << "ns";
+  }
+}
 
 std::unique_ptr<RankFn> case_rank(const DifferentialCase& c) {
   return make_rank_fn(PolicySpec::parse(c.policy_token));
