@@ -17,6 +17,43 @@ void check_conns(std::size_t n, const std::vector<Conn>& conns) {
   }
 }
 
+/// The shared first-fit loop. `capacity[r]` is fabric resource r's capacity
+/// per configuration, and `hold(c, held)` appends to `held` the fabric
+/// resources connection c occupies. Every connection also holds its input
+/// and output port, capacity 1 each (stored after the fabric resources).
+template <typename HoldFn>
+Decomposition first_fit(std::size_t n, const std::vector<Conn>& conns,
+                        std::vector<std::size_t> capacity, HoldFn&& hold) {
+  check_conns(n, conns);
+  const std::size_t port_base = capacity.size();
+  capacity.resize(port_base + 2 * n, 1);
+  Decomposition result;
+  std::vector<std::vector<std::size_t>> load;  // per config: per-resource use
+  std::vector<std::size_t> held;
+  const auto fits = [&](const std::vector<std::size_t>& used) {
+    return std::all_of(held.begin(), held.end(),
+                       [&](std::size_t r) { return used[r] < capacity[r]; });
+  };
+  for (const Conn& c : conns) {
+    held.assign({port_base + c.src, port_base + n + c.dst});
+    hold(c, held);
+    std::size_t slot = 0;
+    while (slot < load.size() && !fits(load[slot])) {
+      ++slot;
+    }
+    if (slot == load.size()) {
+      load.emplace_back(capacity.size(), 0);
+      result.configs.emplace_back(n);
+    }
+    for (const std::size_t r : held) {
+      ++load[slot][r];
+    }
+    result.configs[slot].set(c.src, c.dst);
+    result.color_of.push_back(slot);
+  }
+  return result;
+}
+
 }  // namespace
 
 std::size_t working_set_degree(std::size_t n, const std::vector<Conn>& conns) {
@@ -135,30 +172,44 @@ Decomposition decompose_optimal(std::size_t n, const std::vector<Conn>& conns) {
 }
 
 Decomposition decompose_greedy(std::size_t n, const std::vector<Conn>& conns) {
-  check_conns(n, conns);
-  Decomposition result;
-  result.color_of.assign(conns.size(), kNone);
-  std::vector<BitVector> out_used;  // per config: inputs in use
-  std::vector<BitVector> in_used;   // per config: outputs in use
-  for (std::size_t e = 0; e < conns.size(); ++e) {
-    const Conn& c = conns[e];
-    std::size_t slot = kNone;
-    for (std::size_t s = 0; s < result.configs.size(); ++s) {
-      if (!out_used[s].get(c.src) && !in_used[s].get(c.dst)) {
-        slot = s;
-        break;
-      }
-    }
-    if (slot == kNone) {
-      slot = result.configs.size();
-      result.configs.emplace_back(n);
-      out_used.emplace_back(n);
-      in_used.emplace_back(n);
-    }
-    result.configs[slot].set(c.src, c.dst);
-    out_used[slot].set(c.src);
-    in_used[slot].set(c.dst);
-    result.color_of[e] = slot;
+  return first_fit(n, conns, {}, [](const Conn&, std::vector<std::size_t>&) {});
+}
+
+Decomposition decompose_omega(const OmegaNetwork& omega,
+                              const std::vector<Conn>& conns) {
+  const std::size_t n = omega.size();
+  // Internal line l after stage s is fabric resource s*n + l.
+  Decomposition result = first_fit(
+      n, conns, std::vector<std::size_t>(omega.stages() * n, 1),
+      [&](const Conn& c, std::vector<std::size_t>& held) {
+        const std::vector<std::size_t> lines = omega.route(c.src, c.dst);
+        for (std::size_t s = 0; s < lines.size(); ++s) {
+          held.push_back(s * n + lines[s]);
+        }
+      });
+  for (const auto& cfg : result.configs) {
+    PMX_CHECK(omega.routable(cfg), "omega decomposition produced a blocked "
+                                   "configuration");
+  }
+  return result;
+}
+
+Decomposition decompose_fattree(const FatTree& tree,
+                                const std::vector<Conn>& conns) {
+  const std::size_t n = tree.size();
+  const std::size_t leaves = tree.num_leaves();
+  // Leaf l's uplink pool is fabric resource l, its downlink pool leaves + l.
+  Decomposition result = first_fit(
+      n, conns, std::vector<std::size_t>(2 * leaves, tree.num_spines()),
+      [&](const Conn& c, std::vector<std::size_t>& held) {
+        if (!tree.is_local(c)) {
+          held.push_back(tree.leaf_of(c.src));
+          held.push_back(leaves + tree.leaf_of(c.dst));
+        }
+      });
+  for (const auto& cfg : result.configs) {
+    PMX_CHECK(tree.routable(cfg),
+              "fat-tree decomposition produced an over-capacity config");
   }
   return result;
 }

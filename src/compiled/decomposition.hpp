@@ -5,6 +5,8 @@
 
 #include "common/bitmatrix.hpp"
 #include "common/message.hpp"
+#include "fabric/fattree.hpp"
+#include "fabric/omega.hpp"
 
 namespace pmx {
 
@@ -30,11 +32,33 @@ struct Decomposition {
 [[nodiscard]] Decomposition decompose_optimal(std::size_t n,
                                               const std::vector<Conn>& conns);
 
-/// First-fit greedy decomposition: assign each connection to the first slot
-/// where both ports are free, opening a new slot when none fits. Simpler
-/// hardware/runtime, may use up to 2*degree-1 configurations. Kept as the
+/// The greedy decompositions below share one first-fit loop over shared
+/// resources (the TDM resource model of Minaeva et al.): a configuration may
+/// hold each resource up to that resource's capacity. Every connection holds
+/// its input port and its output port (capacity 1 each), plus whatever the
+/// fabric's internal topology adds. Each connection goes into the
+/// lowest-numbered configuration where all of its resources have room;
+/// otherwise a new configuration opens.
+
+/// Crossbar first-fit: ports only. Simpler hardware/runtime than
+/// decompose_optimal, may use up to 2*degree-1 configurations. Kept as the
 /// baseline for the decomposition ablation.
 [[nodiscard]] Decomposition decompose_greedy(std::size_t n,
                                              const std::vector<Conn>& conns);
+
+/// Omega first-fit: the ports plus one internal line per stage (from
+/// OmegaNetwork::route), capacity 1 each. Every configuration is
+/// Omega-routable; the degree is the multiplexing degree the Omega fabric
+/// needs for this working set.
+[[nodiscard]] Decomposition decompose_omega(const OmegaNetwork& omega,
+                                            const std::vector<Conn>& conns);
+
+/// Fat-tree first-fit: the ports plus, for an inter-leaf connection, the
+/// source leaf's uplink pool and the destination leaf's downlink pool,
+/// capacity num_spines each. With num_spines == leaf_ports (full bisection)
+/// this matches decompose_greedy; oversubscribed trees need proportionally
+/// more configurations for inter-leaf-heavy working sets.
+[[nodiscard]] Decomposition decompose_fattree(const FatTree& tree,
+                                              const std::vector<Conn>& conns);
 
 }  // namespace pmx

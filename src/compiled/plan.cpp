@@ -1,6 +1,7 @@
 #include "compiled/plan.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -71,12 +72,12 @@ CompiledPlan assemble(const Workload& workload, DecomposeFn&& decompose) {
   for (std::size_t p = 0; p < plan.phases.size(); ++p) {
     PhasePlan& phase = plan.phases[p];
     const auto& conns = traffic.conns[p];
-    const auto [configs, color_of] = decompose(conns);
-    phase.configs = configs;
-    phase.degree = configs.size();
+    Decomposition d = decompose(conns);
+    phase.configs = std::move(d.configs);
+    phase.degree = phase.configs.size();
     phase.config_bytes.assign(phase.configs.size(), 0);
     for (std::size_t e = 0; e < conns.size(); ++e) {
-      const std::size_t color = color_of[e];
+      const std::size_t color = d.color_of[e];
       const std::uint64_t key = pair_key(conns[e].src, conns[e].dst);
       phase.pair_to_config.emplace(key, color);
       phase.config_bytes[color] += traffic.bytes[p].at(key);
@@ -90,9 +91,7 @@ CompiledPlan assemble(const Workload& workload, DecomposeFn&& decompose) {
 CompiledPlan compile_workload(const Workload& workload, bool optimal) {
   const std::size_t n = workload.num_nodes();
   return assemble(workload, [&](const std::vector<Conn>& conns) {
-    const Decomposition d =
-        optimal ? decompose_optimal(n, conns) : decompose_greedy(n, conns);
-    return std::make_pair(d.configs, d.color_of);
+    return optimal ? decompose_optimal(n, conns) : decompose_greedy(n, conns);
   });
 }
 
@@ -101,8 +100,7 @@ CompiledPlan compile_workload_omega(const Workload& workload,
   PMX_CHECK(omega.size() == workload.num_nodes(),
             "omega network and workload disagree on node count");
   return assemble(workload, [&](const std::vector<Conn>& conns) {
-    const OmegaDecomposition d = decompose_omega(omega, conns);
-    return std::make_pair(d.configs, d.color_of);
+    return decompose_omega(omega, conns);
   });
 }
 
@@ -111,8 +109,7 @@ CompiledPlan compile_workload_fattree(const Workload& workload,
   PMX_CHECK(tree.size() == workload.num_nodes(),
             "fat tree and workload disagree on node count");
   return assemble(workload, [&](const std::vector<Conn>& conns) {
-    const FatTreeDecomposition d = decompose_fattree(tree, conns);
-    return std::make_pair(d.configs, d.color_of);
+    return decompose_fattree(tree, conns);
   });
 }
 

@@ -1,7 +1,8 @@
 #include "fabric/fattree.hpp"
 
+#include <vector>
+
 #include "common/assert.hpp"
-#include "common/bitvector.hpp"
 
 namespace pmx {
 
@@ -36,65 +37,6 @@ bool FatTree::routable(const BitMatrix& config) const {
     }
   }
   return true;
-}
-
-FatTreeDecomposition decompose_fattree(const FatTree& tree,
-                                       const std::vector<Conn>& conns) {
-  const std::size_t n = tree.size();
-  FatTreeDecomposition result;
-  result.color_of.assign(conns.size(), static_cast<std::size_t>(-1));
-
-  struct Slot {
-    BitVector in_used;
-    BitVector out_used;
-    std::vector<std::size_t> up;
-    std::vector<std::size_t> down;
-  };
-  std::vector<Slot> slots;
-
-  for (std::size_t e = 0; e < conns.size(); ++e) {
-    const Conn& c = conns[e];
-    PMX_CHECK(c.src < n && c.dst < n, "connection endpoint out of range");
-    const std::size_t src_leaf = tree.leaf_of(c.src);
-    const std::size_t dst_leaf = tree.leaf_of(c.dst);
-    const bool local = src_leaf == dst_leaf;
-
-    std::size_t chosen = static_cast<std::size_t>(-1);
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      Slot& slot = slots[s];
-      if (slot.in_used.get(c.src) || slot.out_used.get(c.dst)) {
-        continue;
-      }
-      if (!local && (slot.up[src_leaf] >= tree.num_spines() ||
-                     slot.down[dst_leaf] >= tree.num_spines())) {
-        continue;
-      }
-      chosen = s;
-      break;
-    }
-    if (chosen == static_cast<std::size_t>(-1)) {
-      chosen = slots.size();
-      slots.push_back(Slot{BitVector(n), BitVector(n),
-                           std::vector<std::size_t>(tree.num_leaves(), 0),
-                           std::vector<std::size_t>(tree.num_leaves(), 0)});
-      result.configs.emplace_back(n);
-    }
-    Slot& slot = slots[chosen];
-    slot.in_used.set(c.src);
-    slot.out_used.set(c.dst);
-    if (!local) {
-      ++slot.up[src_leaf];
-      ++slot.down[dst_leaf];
-    }
-    result.configs[chosen].set(c.src, c.dst);
-    result.color_of[e] = chosen;
-  }
-
-  for (const auto& cfg : result.configs) {
-    PMX_CHECK(tree.routable(cfg),
-              "fat-tree decomposition produced an over-capacity config");
-  }
-  return result;
 }
 
 }  // namespace pmx

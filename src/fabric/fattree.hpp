@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "common/bitmatrix.hpp"
 #include "common/message.hpp"
@@ -56,20 +55,5 @@ class FatTree {
   std::size_t leaf_ports_;
   std::size_t num_spines_;
 };
-
-/// Decompose a connection set into fat-tree-realizable configurations
-/// (greedy first-fit over leaf capacities). With num_spines == leaf_ports
-/// (full bisection) this matches the crossbar's greedy decomposition; with
-/// oversubscription it needs proportionally more configurations for
-/// inter-leaf-heavy working sets.
-struct FatTreeDecomposition {
-  std::vector<BitMatrix> configs;
-  std::vector<std::size_t> color_of;
-
-  [[nodiscard]] std::size_t degree() const { return configs.size(); }
-};
-
-[[nodiscard]] FatTreeDecomposition decompose_fattree(
-    const FatTree& tree, const std::vector<Conn>& conns);
 
 }  // namespace pmx

@@ -81,61 +81,4 @@ bool OmegaNetwork::routable(const BitMatrix& config) const {
   return true;
 }
 
-OmegaDecomposition decompose_omega(const OmegaNetwork& omega,
-                                   const std::vector<Conn>& conns) {
-  const std::size_t n = omega.size();
-  const std::size_t stages = omega.stages();
-  OmegaDecomposition result;
-  result.color_of.assign(conns.size(), static_cast<std::size_t>(-1));
-
-  // Per config: per-stage line occupancy plus crossbar port occupancy.
-  struct Slot {
-    std::vector<BitVector> lines;
-    BitVector in_used;
-    BitVector out_used;
-  };
-  std::vector<Slot> slots;
-
-  for (std::size_t e = 0; e < conns.size(); ++e) {
-    const Conn& c = conns[e];
-    PMX_CHECK(c.src < n && c.dst < n, "connection endpoint out of range");
-    const auto lines = omega.route(c.src, c.dst);
-    std::size_t chosen = static_cast<std::size_t>(-1);
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      Slot& slot = slots[s];
-      if (slot.in_used.get(c.src) || slot.out_used.get(c.dst)) {
-        continue;
-      }
-      bool free = true;
-      for (std::size_t st = 0; st < stages && free; ++st) {
-        free = !slot.lines[st].get(lines[st]);
-      }
-      if (free) {
-        chosen = s;
-        break;
-      }
-    }
-    if (chosen == static_cast<std::size_t>(-1)) {
-      chosen = slots.size();
-      slots.push_back(Slot{std::vector<BitVector>(stages, BitVector(n)),
-                           BitVector(n), BitVector(n)});
-      result.configs.emplace_back(n);
-    }
-    Slot& slot = slots[chosen];
-    for (std::size_t st = 0; st < stages; ++st) {
-      slot.lines[st].set(lines[st]);
-    }
-    slot.in_used.set(c.src);
-    slot.out_used.set(c.dst);
-    result.configs[chosen].set(c.src, c.dst);
-    result.color_of[e] = chosen;
-  }
-
-  for (const auto& cfg : result.configs) {
-    PMX_CHECK(omega.routable(cfg), "omega decomposition produced a blocked "
-                                   "configuration");
-  }
-  return result;
-}
-
 }  // namespace pmx

@@ -22,8 +22,9 @@ namespace pmx {
 /// A configuration is realizable exactly when no two connections share an
 /// internal line at any stage. Because the Omega network is blocking, a
 /// partial permutation that a crossbar realizes in one slot may need
-/// several slots here -- decompose_omega() computes such a slot assignment
-/// and quantifies the multiplexing-degree cost of the cheaper fabric.
+/// several slots here; compiled/'s decompose_omega() packs a working set
+/// into routable slots and so quantifies the multiplexing-degree cost of
+/// the cheaper fabric.
 class OmegaNetwork {
  public:
   /// `n` must be a power of two (>= 2).
@@ -53,20 +54,5 @@ class OmegaNetwork {
   std::size_t n_;
   std::size_t stages_;
 };
-
-/// Decompose a connection set into Omega-routable configurations
-/// (greedy first-fit over per-stage line occupancy). The result satisfies
-/// both the crossbar and the Omega constraints; its size is the
-/// multiplexing degree the Omega fabric needs for this working set.
-struct OmegaDecomposition {
-  std::vector<BitMatrix> configs;
-  std::vector<std::size_t> color_of;
-
-  [[nodiscard]] std::size_t degree() const { return configs.size(); }
-};
-
-[[nodiscard]] OmegaDecomposition decompose_omega(const OmegaNetwork& omega,
-                                                 const std::vector<Conn>&
-                                                     conns);
 
 }  // namespace pmx

@@ -33,9 +33,6 @@ enum class ShedPolicy : std::uint8_t {
 };
 
 [[nodiscard]] std::string to_string(ShedPolicy policy);
-/// Parse "tail-drop" | "drop-newest" | "drop-oldest" | "deadline" |
-/// "backpressure" (bench sweep axes). Aborts on unknown names.
-[[nodiscard]] ShedPolicy parse_shed_policy(const std::string& name);
 
 /// NIC-side admission control: bounds on the per-source output queues and
 /// the policy applied when an arrival would overflow them. Both capacities

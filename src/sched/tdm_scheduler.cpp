@@ -83,14 +83,6 @@ void TdmScheduler::unload(std::size_t slot) {
   mark_all_dirty();
 }
 
-std::size_t TdmScheduler::num_pinned() const {
-  std::size_t count = 0;
-  for (const bool p : pinned_) {
-    count += p ? 1U : 0U;
-  }
-  return count;
-}
-
 void TdmScheduler::flush_dynamic() {
   for (std::size_t s = 0; s < k_; ++s) {
     if (!pinned_[s]) {

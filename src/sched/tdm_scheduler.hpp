@@ -88,10 +88,6 @@ class TdmScheduler {
       mark_all_dirty();
     }
   }
-  void clear_holds() {
-    holds_.reset();
-    mark_all_dirty();
-  }
   [[nodiscard]] bool held(std::size_t u, std::size_t v) const {
     return holds_.get(u, v);
   }
@@ -107,7 +103,6 @@ class TdmScheduler {
   /// Clear a slot and unpin it.
   void unload(std::size_t slot);
   [[nodiscard]] bool pinned(std::size_t slot) const { return pinned_[slot]; }
-  [[nodiscard]] std::size_t num_pinned() const;
 
   /// Extension 4: clear every unpinned configuration (and all holds).
   void flush_dynamic();

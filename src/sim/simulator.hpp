@@ -31,7 +31,6 @@ class Simulator {
   /// Request the current run()/run_until() loop to exit after the current
   /// event.
   void stop() { stopped_ = true; }
-  [[nodiscard]] bool stopped() const { return stopped_; }
 
  private:
   EventQueue queue_;

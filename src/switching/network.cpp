@@ -127,46 +127,32 @@ Network::SubmitOutcome Network::try_submit(NodeId src, NodeId dst,
       return {SubmitStatus::kShed, msg};
     }
     if (overflowing()) {
-      switch (adm.policy) {
-        case ShedPolicy::kBackpressure:
-          // Closed-loop: nothing enters, no id is consumed; the caller
-          // stalls and retries. The stall time is accounted driver-side.
-          counters_.counter("backpressure_rejects") += 1;
-          return {SubmitStatus::kBackpressure, Message{}};
-        case ShedPolicy::kDropOldest:
-          while (overflowing()) {
-            auto victim = remove_shed_victim(src, true, TimeNs::never());
-            if (!victim.has_value()) {
-              break;  // everything queued is in flight: shed the newcomer
-            }
-            settle_shed(*victim, true, "shed_oldest");
+      if (adm.policy == ShedPolicy::kBackpressure) {
+        // Closed-loop: nothing enters, no id is consumed; the caller
+        // stalls and retries. The stall time is accounted driver-side.
+        counters_.counter("backpressure_rejects") += 1;
+        return {SubmitStatus::kBackpressure, Message{}};
+      }
+      if (adm.policy != ShedPolicy::kTailDrop) {
+        // Push-out: evict queued victims until the newcomer fits. kDeadline
+        // may evict only messages whose deadline rank has expired (rank =
+        // submit_time + deadline, expired when rank <= now -- the same
+        // integer-rank encoding the PolicyEngine uses).
+        const bool deadline = adm.policy == ShedPolicy::kDeadline;
+        const bool oldest = adm.policy != ShedPolicy::kDropNewest;
+        const TimeNs cutoff = deadline
+                                  ? sim_.now() - AdmissionParams::kDeadline
+                                  : TimeNs::never();
+        const char* tag = deadline ? "shed_deadline"
+                          : oldest ? "shed_oldest"
+                                   : "shed_newest";
+        while (overflowing()) {
+          auto victim = remove_shed_victim(src, oldest, cutoff);
+          if (!victim.has_value()) {
+            break;  // nothing evictable: the newcomer is shed instead
           }
-          break;
-        case ShedPolicy::kDropNewest:
-          while (overflowing()) {
-            auto victim = remove_shed_victim(src, false, TimeNs::never());
-            if (!victim.has_value()) {
-              break;
-            }
-            settle_shed(*victim, true, "shed_newest");
-          }
-          break;
-        case ShedPolicy::kDeadline: {
-          // Only messages whose deadline rank has expired may be evicted
-          // (rank = submit_time + deadline, expired when rank <= now --
-          // the same integer-rank encoding the PolicyEngine uses).
-          const TimeNs cutoff = sim_.now() - AdmissionParams::kDeadline;
-          while (overflowing()) {
-            auto victim = remove_shed_victim(src, true, cutoff);
-            if (!victim.has_value()) {
-              break;  // nothing expired: the newcomer is shed instead
-            }
-            settle_shed(*victim, true, "shed_deadline");
-          }
-          break;
+          settle_shed(*victim, true, tag);
         }
-        case ShedPolicy::kTailDrop:
-          break;  // the newcomer is the victim
       }
       if (overflowing()) {
         const Message msg = make_message(src, dst, bytes, phase);

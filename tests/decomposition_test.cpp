@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/rng.hpp"
 #include "traffic/mesh.hpp"
 
@@ -30,6 +32,100 @@ void check_valid(std::size_t n, const std::vector<Conn>& conns,
     ASSERT_LT(d.color_of[e], d.configs.size());
     EXPECT_TRUE(d.configs[d.color_of[e]].get(conns[e].src, conns[e].dst));
   }
+}
+
+/// Up to `edges` distinct random connections on n ports, in draw order.
+std::vector<Conn> random_conns(std::size_t n, std::size_t edges, Rng& rng) {
+  std::vector<Conn> conns;
+  BitMatrix used(n);
+  for (std::size_t e = 0; e < edges; ++e) {
+    const auto u = static_cast<std::size_t>(rng.below(n));
+    const auto v = static_cast<std::size_t>(rng.below(n));
+    if (!used.get(u, v)) {
+      used.set(u, v);
+      conns.push_back({u, v});
+    }
+  }
+  return conns;
+}
+
+/// Naive first-fit oracle: each connection goes into the lowest
+/// configuration that stays a partial permutation and that the fabric's
+/// `routable` check still accepts with the connection added.
+std::vector<std::size_t> oracle_first_fit(
+    std::size_t n, const std::vector<Conn>& conns,
+    const std::function<bool(const BitMatrix&)>& routable) {
+  std::vector<BitMatrix> configs;
+  std::vector<std::size_t> color_of;
+  for (const Conn& c : conns) {
+    std::size_t slot = 0;
+    for (; slot < configs.size(); ++slot) {
+      BitMatrix trial = configs[slot];
+      trial.set(c.src, c.dst);
+      if (trial.is_partial_permutation() && routable(trial)) {
+        break;
+      }
+    }
+    if (slot == configs.size()) {
+      configs.emplace_back(n);
+    }
+    configs[slot].set(c.src, c.dst);
+    color_of.push_back(slot);
+  }
+  return color_of;
+}
+
+/// Seeded working sets at N=16 and N=32, from sparse to several
+/// connections per port.
+template <typename Fn>
+void for_each_seeded_set(Fn&& fn) {
+  for (const std::size_t n : {16U, 32U}) {
+    Rng rng(1000 + n);
+    for (int trial = 0; trial < 12; ++trial) {
+      const std::size_t edges = n * (1 + static_cast<std::size_t>(trial) % 4);
+      SCOPED_TRACE(testing::Message() << "n=" << n << " trial=" << trial);
+      fn(n, random_conns(n, edges, rng));
+    }
+  }
+}
+
+TEST(FirstFitOracle, CrossbarGreedyMatches) {
+  for_each_seeded_set([](std::size_t n, const std::vector<Conn>& conns) {
+    const auto any = [](const BitMatrix&) { return true; };
+    const Decomposition d = decompose_greedy(n, conns);
+    EXPECT_EQ(d.color_of, oracle_first_fit(n, conns, any));
+    check_valid(n, conns, d);
+  });
+}
+
+TEST(FirstFitOracle, OmegaMatches) {
+  for_each_seeded_set([](std::size_t n, const std::vector<Conn>& conns) {
+    const OmegaNetwork omega(n);
+    const Decomposition d = decompose_omega(omega, conns);
+    EXPECT_EQ(d.color_of,
+              oracle_first_fit(n, conns, [&](const BitMatrix& cfg) {
+                return omega.routable(cfg);
+              }));
+    check_valid(n, conns, d);
+  });
+}
+
+TEST(FirstFitOracle, FatTreeMatchesIncludingOversubscribed) {
+  for_each_seeded_set([](std::size_t n, const std::vector<Conn>& conns) {
+    const std::size_t leaf_ports = n / 4;
+    // Full bisection, 2:1 and leaf_ports:1 oversubscription.
+    for (const std::size_t spines :
+         {leaf_ports, leaf_ports / 2, std::size_t{1}}) {
+      const FatTree tree(4, leaf_ports, spines);
+      const Decomposition d = decompose_fattree(tree, conns);
+      EXPECT_EQ(d.color_of,
+                oracle_first_fit(n, conns, [&](const BitMatrix& cfg) {
+                  return tree.routable(cfg);
+                }))
+          << "spines=" << spines;
+      check_valid(n, conns, d);
+    }
+  });
 }
 
 TEST(WorkingSetDegree, EmptyIsZero) {
@@ -112,17 +208,8 @@ TEST(DecomposeOptimal, RandomGraphsHitDegreeBound) {
   Rng rng(99);
   for (int trial = 0; trial < 30; ++trial) {
     const std::size_t n = 4 + rng.below(60);
-    std::vector<Conn> conns;
-    BitMatrix used(n);
     const std::size_t edges = rng.below(n * 3 + 1);
-    for (std::size_t e = 0; e < edges; ++e) {
-      const auto u = static_cast<std::size_t>(rng.below(n));
-      const auto v = static_cast<std::size_t>(rng.below(n));
-      if (!used.get(u, v)) {
-        used.set(u, v);
-        conns.push_back({u, v});
-      }
-    }
+    const std::vector<Conn> conns = random_conns(n, edges, rng);
     const Decomposition d = decompose_optimal(n, conns);
     EXPECT_EQ(d.degree(), working_set_degree(n, conns));
     check_valid(n, conns, d);
@@ -138,16 +225,7 @@ TEST(DecomposeGreedy, ValidButPossiblySuboptimal) {
   Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 4 + rng.below(40);
-    std::vector<Conn> conns;
-    BitMatrix used(n);
-    for (std::size_t e = 0; e < n * 2; ++e) {
-      const auto u = static_cast<std::size_t>(rng.below(n));
-      const auto v = static_cast<std::size_t>(rng.below(n));
-      if (!used.get(u, v)) {
-        used.set(u, v);
-        conns.push_back({u, v});
-      }
-    }
+    const std::vector<Conn> conns = random_conns(n, n * 2, rng);
     const Decomposition d = decompose_greedy(n, conns);
     check_valid(n, conns, d);
     const std::size_t lower = working_set_degree(n, conns);

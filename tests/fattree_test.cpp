@@ -80,7 +80,7 @@ TEST(DecomposeFatTree, CoversEverythingWithinCapacity) {
       conns.push_back(c);
     }
   }
-  const FatTreeDecomposition d = decompose_fattree(tree, conns);
+  const Decomposition d = decompose_fattree(tree, conns);
   BitMatrix covered(32);
   for (const auto& cfg : d.configs) {
     EXPECT_TRUE(tree.routable(cfg));

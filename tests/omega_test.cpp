@@ -119,7 +119,7 @@ TEST(DecomposeOmega, CoversEveryConnectionExactlyOnce) {
       conns.push_back(c);
     }
   }
-  const OmegaDecomposition d = decompose_omega(omega, conns);
+  const Decomposition d = decompose_omega(omega, conns);
   BitMatrix covered(n);
   for (const auto& cfg : d.configs) {
     EXPECT_TRUE(omega.routable(cfg));
@@ -172,7 +172,7 @@ TEST(DecomposeOmega, ShiftWorkingSetStaysCheap) {
       conns.push_back(Conn{u, (u + k) % n});
     }
   }
-  const OmegaDecomposition d = decompose_omega(omega, conns);
+  const Decomposition d = decompose_omega(omega, conns);
   EXPECT_EQ(d.degree(), 4u);
 }
 

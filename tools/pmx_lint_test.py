@@ -91,12 +91,12 @@ class AllowEscapeHatch(unittest.TestCase):
 
 class FloatAccumWhitelist(unittest.TestCase):
     def test_whitelisted_analytic_files_are_exempt(self):
-        stats = REPO_ROOT / "src" / "common" / "stats.cpp"
-        findings = pmx_lint.lint_file(stats, "src/common/stats.cpp",
+        metrics = REPO_ROOT / "src" / "core" / "metrics.cpp"
+        findings = pmx_lint.lint_file(metrics, "src/core/metrics.cpp",
                                       {"float-accum"})
         self.assertEqual(findings, [])
         # The same content linted under a non-whitelisted name must trip.
-        findings = pmx_lint.lint_file(stats, "src/common/stats_copy.cpp",
+        findings = pmx_lint.lint_file(metrics, "src/core/metrics_copy.cpp",
                                       {"float-accum"})
         self.assertGreater(len(findings), 0)
 
